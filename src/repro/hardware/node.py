@@ -2,10 +2,11 @@
 
 Software layers (AM, MPL, Split-C, MPI) are attached to nodes by the
 machine builder and address each other's memory through :class:`Memory` —
-a flat, growable byte space with a bump allocator, so bulk transfers move
-real bytes between real addresses exactly as ``am_store``/``am_get``
+a bump allocator over segments created on first use, so bulk transfers
+move real bytes between real addresses exactly as ``am_store``/``am_get``
 require ("transfer data between blocks of memory specified by the node
-initiating the transfer", §1.1).
+initiating the transfer", §1.1), while a node that never allocates costs
+no segment bytes at all.
 """
 
 from __future__ import annotations
@@ -21,11 +22,18 @@ from repro.sim.stats import StatRegistry
 
 
 class Memory:
-    """Per-node memory: a segmented bump allocator over fixed buffers.
+    """Per-node memory: a bump allocator over lazily created segments.
 
     Addresses are plain ints, so Split-C global pointers are ``(proc,
     addr)`` pairs with ordinary arithmetic, and ``am_store`` writes to a
     remote ``addr`` exactly as on the real machine.
+
+    A fresh memory holds no bytes.  The first :meth:`alloc` creates the
+    first segment, of ``max(_SEGMENT, initial, request)`` bytes; each later
+    one is ``max(_SEGMENT, request)``.  Every segment starts at the current
+    high-water mark, so the address an allocation gets is a pure bump of
+    the rounded sizes before it and never depends on how the segments were
+    sized.
 
     Segments are never resized once created — numpy arrays returned by
     :meth:`alloc_array` alias the backing store for the lifetime of the
@@ -41,23 +49,28 @@ class Memory:
         self._seg_bases: list[int] = []   # sorted segment base addresses
         self._segments: list[bytearray] = []
         self._brk = 0                     # high-water address
-        self._cur_free = 0                # free bytes in the last segment
-        self._new_segment(max(initial, self._ALIGN))
+        self._cur_free = -1               # free bytes in the last segment;
+                                          # -1 until the first alloc makes one
+        self._initial = initial           # floor on the first segment
 
     def _new_segment(self, nbytes: int) -> None:
         size = max(self._SEGMENT, nbytes)
-        # segments start at aligned addresses, contiguous address space
-        base = (self._brk + self._ALIGN - 1) // self._ALIGN * self._ALIGN
-        self._seg_bases.append(base)
+        if not self._segments:
+            size = max(size, self._initial)
+        # _brk is always aligned: the segment starts at the address the
+        # next allocation gets anyway, so sizes never shift the layout
+        self._seg_bases.append(self._brk)
         self._segments.append(bytearray(size))
-        self._brk = base
         self._cur_free = size
 
     def _locate(self, addr: int, nbytes: int):
         """(segment, offset) containing [addr, addr+nbytes)."""
         i = bisect_right(self._seg_bases, addr) - 1
         if i < 0:
-            raise IndexError(f"address {addr:#x} below memory start")
+            raise IndexError(
+                f"address {addr:#x} is unallocated (no segment holds it; "
+                f"allocated [0, {self._brk:#x}))"
+            )
         base = self._seg_bases[i]
         seg = self._segments[i]
         off = addr - base

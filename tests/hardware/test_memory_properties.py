@@ -14,6 +14,19 @@ def alloc_script(draw):
 
 
 class TestMemoryProperties:
+    @given(sizes=alloc_script(),
+           initial=st.sampled_from([1, 64, 4096, 1 << 16, 3 << 20]))
+    @settings(max_examples=60)
+    def test_addresses_follow_a_pure_bump_model(self, sizes, initial):
+        """Segment sizing never changes layout (and so never the event
+        order): addresses are the running sum of 64-rounded sizes."""
+        mem = Memory(initial=initial)
+        expected = 0
+        for size in sizes:
+            assert mem.alloc(size) == expected
+            expected += (size + 63) // 64 * 64
+        assert mem.brk == expected
+
     @given(sizes=alloc_script())
     @settings(max_examples=60)
     def test_allocations_disjoint_and_readable(self, sizes):

@@ -11,7 +11,38 @@ from repro.hardware.params import HostParams, machine_params
 from repro.sim import Simulator
 
 
+def _segment_sizes(mem):
+    return [len(seg) for seg in mem._segments]
+
+
 class TestMemory:
+    def test_fresh_memory_holds_no_segment_bytes(self):
+        assert _segment_sizes(Memory()) == []
+        assert Memory().brk == 0
+
+    def test_first_alloc_creates_the_first_segment(self):
+        mem = Memory()
+        mem.alloc(100)
+        assert _segment_sizes(mem) == [Memory._SEGMENT]
+        # an `initial` above the default segment size sizes the first one
+        big = Memory(initial=3 * Memory._SEGMENT)
+        big.alloc(100)
+        assert _segment_sizes(big) == [3 * Memory._SEGMENT]
+        # and a larger first request sizes it too
+        huge = Memory()
+        huge.alloc(2 * Memory._SEGMENT + 1)
+        assert _segment_sizes(huge) == [2 * Memory._SEGMENT + 64]
+
+    def test_zero_byte_alloc_on_fresh_memory_is_readable(self):
+        mem = Memory()
+        addr = mem.alloc(0)
+        assert addr == 0
+        assert mem.read(addr, 0) == b""
+
+    def test_access_to_fresh_memory_says_unallocated(self):
+        with pytest.raises(IndexError, match="unallocated"):
+            Memory().read(0, 8)
+
     def test_alloc_returns_distinct_aligned_regions(self):
         mem = Memory()
         a = mem.alloc(100)
