@@ -2,7 +2,7 @@
 
 The paper's creed — per-message *software* overhead is the limit (§3) —
 applies to the simulator itself: every reproduced experiment is bounded
-by how many events per second the core can retire.  This suite measures
+by how many events per second the core can retire.  This suite times
 that number over the protocol workloads that dominate real runs:
 
 * ``pingpong`` — 100k one-word AM round trips (the §2.3 latency path),
@@ -12,39 +12,20 @@ that number over the protocol workloads that dominate real runs:
 * ``soak`` — the chaos campaign at 1% loss (timers, retransmissions,
   NACK recovery — the go-back-N machinery of §2.2).
 
-Each sized workload runs under both schedulers (``wheel`` and ``heap``)
-and the suite additionally drives reduced copies of the workloads one
-:meth:`~repro.sim.engine.Simulator.step` at a time to fold every executed
-event's ``(time, seq, callback)`` into a digest: the two schedulers must
-produce **byte-identical** digests and final simulated clocks, or the
-wheel is reordering events and the run fails.
-
-The wheel workloads are additionally timed with idle fast-forward
-disabled (``wheel_noff``) and the on/off ratio is reported per workload;
-a second differential pass records full-speed event-order digests (via
-the engine's check hooks, so no ``step()`` slowdown) with fast-forward
-on and off on **all four** workloads — digests, final clocks, and
-event/stale counts must match exactly, or the fast path is changing
-execution order rather than just skipping idle queue work.
-
 Events/sec is reported *adjusted*: ``(events_executed +
-stale_events_skipped) / wall``.  The pre-PR engine executed cancelled
-timer wakeups as counted no-op events; the current engine discards them
-on pop without executing, so the raw counter alone would understate the
-work retired per second.
+stale_events_skipped) / wall``, so cancelled timer wakeups the engine
+discards on pop still count as queue work retired.  The timings are
+informational: they are best-of-N walls on whatever box ran them.  The
+repo's wall-time and per-layer host-cost benchmark is ``hostbench/``.
 
-Regression gating (``--check``) is machine-independent: it compares the
-current wheel/heap events-per-second *ratio* per workload against the
-ratio stored in a committed ``BENCH_simperf.json``, so CI hardware speed
-cancels out and only scheduler regressions trip it.
-
-The multiprocessing worker backend (``--workers``) is covered twice:
-``determinism_workers`` proves ``workers=P`` runs bit-identical to the
-single-process sharded engine and the sequential heap on every workload
-plus the 1%-loss soak (gated unconditionally), and the scaling section
-grows one timed column per worker count (speedup ratios gated only when
-the committed report shows a gain and the runner has the cores — see
-the report's ``cpus`` field).
+The ``determinism`` section is the contract.  Reduced copies of the four
+workloads run with an event-order digest recorder on the engine's check
+hooks; each records the digest of every executed event's ``(time, seq,
+callback)``, the final simulated clock, and the executed-event count.
+``--check`` compares those values *exactly* against a committed
+``BENCH_simperf.json``: they are golden constants, so any change to the
+order in which the engine or the protocol stack retires events fails
+the gate until the file is re-baselined on purpose.
 """
 
 from __future__ import annotations
@@ -55,17 +36,7 @@ import struct
 import time
 from typing import Callable, Dict, List, Optional
 
-from repro.sim import ShardedSimulator, Simulator
-
-#: committed pre-PR baseline (single-heap engine, counted-stale-wakeup
-#: semantics, reference dev box): adjusted events/sec on the full-size
-#: workloads.  Denominators for the headline speedup rows.
-PRE_PR_BASELINE: Dict[str, float] = {
-    "pingpong": 135761.2,
-    "bulk": 128960.3,
-    "alltoall": 144057.1,
-    "soak": 86005.6,
-}
+from repro.sim import Simulator
 
 #: full-size workloads (the committed-report configuration)
 FULL_SIZES: Dict[str, tuple] = {
@@ -83,70 +54,20 @@ QUICK_SIZES: Dict[str, tuple] = {
     "soak": (12,),
 }
 
-#: sizes for the step()-driven digest runs (deliberately small: the
-#: one-event-at-a-time loop trades speed for event-order visibility)
+#: sizes for the determinism section; the same in quick and full runs,
+#: so a quick run gates against a full-size committed report
 DIGEST_SIZES: Dict[str, tuple] = {
-    "pingpong": (200,),
-    "bulk": (32_768, 1),
-    "alltoall": (4, 2_048, 1),
-}
-
-#: sizes for the fast-forward on/off digest comparison.  These runs ride
-#: the engine's check hooks through the full-speed drain loops, so they
-#: afford larger sizes than the ``step()``-driven ``DIGEST_SIZES`` — and
-#: they cover soak, which ``step()`` cannot drive (``run_soak`` owns its
-#: simulator).
-FF_DIGEST_SIZES: Dict[str, tuple] = {
     "pingpong": (2_000,),
     "bulk": (65_536, 2),
     "alltoall": (8, 4_096, 1),
     "soak": (20,),
 }
 
-#: workloads that run under both schedulers (soak builds its own
-#: simulator inside ``run_soak``, so it is measured on the default only)
-DUAL_SCHEDULER = ("pingpong", "bulk", "alltoall")
+#: every workload, in report order
+WORKLOADS = ("pingpong", "bulk", "alltoall", "soak")
 
-#: every workload, for the fast-forward comparisons (which only need the
-#: wheel scheduler and therefore include soak)
-ALL_WORKLOADS = ("pingpong", "bulk", "alltoall", "soak")
-
-#: node counts for the sharded scaling section (``--nodes``); iterations
-#: per ring round shrink with N so each config's wall stays ~seconds
-SCALING_NODES = (64, 256, 1024)
-SCALING_ITERS: Dict[int, int] = {64: 32, 256: 16, 1024: 4}
-
-#: worker-process counts for the scaling section's workers columns
-SCALING_WORKERS = (2, 4)
-
-#: sizes for the worker-backend digest runs (``workers=P`` must be
-#: bit-identical to every sequential engine); full-speed check-hook
-#: recording, like FF_DIGEST_SIZES, but small enough that the fork +
-#: round-barrier overhead keeps the suite snappy
-PARALLEL_DIGEST_SIZES: Dict[str, tuple] = {
-    "pingpong": (400,),
-    "bulk": (32_768, 1),
-    "alltoall": (4, 2_048, 1),
-    "soak": (12,),
-}
-
-
-def _make_sim(scheduler: str, idle_fast_forward: bool = True,
-              workers: int = 1) -> Simulator:
-    """``"wheel"`` / ``"heap"`` / ``"sharded"`` — one seam for the suite.
-
-    The sharded engine's shards and lookahead are configured by
-    ``build_sp_machine`` (one shard per node, lookahead = switch
-    latency), so the factory itself stays topology-free.  ``workers``
-    spreads the shards over that many processes (sharded only).
-    """
-    if scheduler == "sharded":
-        return ShardedSimulator(idle_fast_forward=idle_fast_forward,
-                                workers=workers)
-    if workers > 1:
-        raise ValueError("workers > 1 requires the sharded engine")
-    return Simulator(scheduler=scheduler,
-                     idle_fast_forward=idle_fast_forward)
+#: the determinism fields ``--check`` compares exactly
+DIGEST_FIELDS = ("digest", "sim_us", "events")
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +83,8 @@ def _build_pingpong(sim: Simulator, iterations: int,
     attach_am(machine, xfer_mode=xfer_mode)
     am0 = machine.node(0).am
     am1 = machine.node(1).am
-    got = [0]      # node 0 state: replies landed (bumped by node-0 events)
-    served = [0]   # node 1 state: requests served (bumped by node-1 events)
+    got = [0]      # replies landed on node 0
+    served = [0]   # requests served on node 1
 
     def reply_handler(token, x):
         got[0] += 1
@@ -172,8 +93,6 @@ def _build_pingpong(sim: Simulator, iterations: int,
         served[0] += 1
         yield from token.reply_1(reply_handler, x)
 
-    # SPMD discipline: handlers register on the shared (pre-fork) table
-    # so their ids resolve in every shard worker process
     am0.register(reply_handler)
     am0.register(request_handler)
 
@@ -185,14 +104,11 @@ def _build_pingpong(sim: Simulator, iterations: int,
                 yield from am0._wait_progress()
 
     def ponger():
-        # terminate on node-1-local state only (shard-clean): the old
-        # ``got[0] < iterations`` condition read node 0's counter across
-        # the shard boundary
         while served[0] < iterations:
             yield from am1._wait_progress()
 
-    p = sim.spawn(pinger(), name="perf-ping", shard=0)
-    sim.spawn(ponger(), name="perf-pong", shard=1)
+    p = sim.spawn(pinger(), name="perf-ping")
+    sim.spawn(ponger(), name="perf-pong")
     return [p]
 
 
@@ -209,27 +125,26 @@ def _build_bulk(sim: Simulator, nbytes: int, rounds: int,
     dst = machine.node(1).memory.alloc(nbytes)
     back = machine.node(0).memory.alloc(nbytes)
     machine.node(0).memory.write(src, bytes(i % 251 for i in range(nbytes)))
-    done = [False]  # node 1 state: set by the done-marker handler below
+    done = [False]  # set on node 1 by the done-marker handler below
 
     def h_bulk_done(token, x):
         done[0] = True
 
-    am0.register(h_bulk_done)  # pre-fork, for shard workers
+    am0.register(h_bulk_done)
 
     def mover():
         for _ in range(rounds):
             yield from am0.store(1, src, dst, nbytes)
             yield from am0.get(1, dst, back, nbytes)
-        # tell the server it can stop: the old shared ``done`` flag was
-        # node-0 state read from node 1 across the shard boundary
+        # tell the server it can stop
         yield from am0.request_1(1, h_bulk_done, 0)
 
     def server():
         while not done[0]:
             yield from am1._wait_progress()
 
-    p = sim.spawn(mover(), name="perf-bulk", shard=0)
-    sim.spawn(server(), name="perf-bulk-server", shard=1)
+    p = sim.spawn(mover(), name="perf-bulk")
+    sim.spawn(server(), name="perf-bulk-server")
     return [p]
 
 
@@ -244,15 +159,13 @@ def _build_alltoall(sim: Simulator, nodes: int, nbytes: int,
     srcs = [machine.node(i).memory.alloc(nbytes) for i in range(nodes)]
     dsts = [[machine.node(i).memory.alloc(nbytes) for _ in range(nodes)]
             for i in range(nodes)]
-    #: per-node set of peers that announced completion; entry ``r`` is
-    #: touched only by node-``r`` events, so the workload is shard-clean
-    #: (the old shared ``finished`` counter was written by every rank)
+    #: per-node set of peers that announced completion
     done_from = [set() for _ in range(nodes)]
 
     def h_a2a_done(token, src):
         done_from[token.am.node.id].add(src)
 
-    ams[0].register(h_a2a_done)  # pre-fork, for shard workers
+    ams[0].register(h_a2a_done)
 
     def rank(r):
         am = ams[r]
@@ -273,44 +186,7 @@ def _build_alltoall(sim: Simulator, nodes: int, nbytes: int,
         while len(done_from[r]) < nodes - 1:
             yield from am._wait_progress()
 
-    return [sim.spawn(rank(r), name=f"a2a{r}", shard=r)
-            for r in range(nodes)]
-
-
-def _build_ring(sim: Simulator, nodes: int, iterations: int) -> list:
-    """Neighbor ring for the scaling section: every rank fires
-    ``iterations`` one-word requests at its right neighbor, then serves
-    the network until all traffic has landed.  All work is node-local
-    except the switch traversals, so the shard decomposition carries the
-    whole workload — the scaling story in its purest form."""
-    from repro.am import attach_am
-    from repro.hardware.machine import build_machine
-
-    machine = build_machine(sim, nodes, "sp-thin")
-    attach_am(machine)
-    ams = [machine.node(i).am for i in range(nodes)]
-    got = [0] * nodes  # entry r is only touched by node-r events
-
-    def handler(token, x):
-        got[token.am.node.id] += 1
-
-    ams[0].register(handler)  # pre-fork, for shard workers
-
-    def rank(r):
-        am = ams[r]
-        right = (r + 1) % nodes
-        for i in range(iterations):
-            yield from am.request_1(right, handler, i)
-        # serve until my own inbox is full: my left neighbor can only
-        # push its full quota while I poll (window credits + acks), so
-        # this node-local condition is also the global-progress one —
-        # no shared ``finished`` counter needed, which keeps the
-        # workload shard-clean for the worker backend
-        while got[r] < iterations:
-            yield from am._wait_progress()
-
-    return [sim.spawn(rank(r), name=f"ring{r}", shard=r)
-            for r in range(nodes)]
+    return [sim.spawn(rank(r), name=f"a2a{r}") for r in range(nodes)]
 
 
 _BUILDERS: Dict[str, Callable] = {
@@ -326,180 +202,82 @@ _BUILDERS: Dict[str, Callable] = {
 
 def _adjusted_eps(sim: Simulator, wall: float) -> float:
     # stale (cancelled-then-skipped) entries are queue work the engine
-    # retired; the pre-PR engine executed them as counted no-op events
+    # retired without executing
     return (sim.events_executed + sim.stale_events_skipped) / wall
 
 
-def _timed_run(name: str, scheduler: str, sizes: tuple,
-               repeat: int, idle_fast_forward: bool = True,
+def _record(sim: Simulator, sizes: tuple, wall: float,
+            sim_us: float) -> Dict:
+    return {
+        "sizes": list(sizes),
+        "events": sim.events_executed,
+        "stale_skipped": sim.stale_events_skipped,
+        "wall_s": round(wall, 4),
+        "eps": round(sim.events_executed / wall, 1),
+        "adj_eps": round(_adjusted_eps(sim, wall), 1),
+        "sim_us": round(sim_us, 3),
+    }
+
+
+def _timed_run(name: str, sizes: tuple, repeat: int,
                xfer_mode: str = "eager") -> Dict:
-    """Best-of-``repeat`` wall time for one workload on one scheduler."""
+    """Best-of-``repeat`` wall time for one workload."""
     build = _BUILDERS[name]
     best: Optional[Dict] = None
     for _ in range(repeat):
-        sim = Simulator(scheduler=scheduler,
-                        idle_fast_forward=idle_fast_forward)
+        sim = Simulator()
         procs = build(sim, *sizes, xfer_mode=xfer_mode)
         t0 = time.perf_counter()
         sim.run_until_processes_done(procs, limit=1e12)
-        wall = time.perf_counter() - t0
-        rec = {
-            "scheduler": scheduler,
-            "sizes": list(sizes),
-            "events": sim.events_executed,
-            "stale_skipped": sim.stale_events_skipped,
-            "wall_s": round(wall, 4),
-            "eps": round(sim.events_executed / wall, 1),
-            "adj_eps": round(_adjusted_eps(sim, wall), 1),
-            "sim_us": round(sim.now, 3),
-        }
+        rec = _record(sim, sizes, time.perf_counter() - t0, sim.now)
         if best is None or rec["wall_s"] < best["wall_s"]:
             best = rec
     return best
 
 
-def _timed_soak(pingpong: int, repeat: int,
-                idle_fast_forward: bool = True,
-                xfer_mode: str = "eager") -> Dict:
+def _soak(pingpong: int, xfer_mode: str, sim_check=None):
+    """One 1%-loss soak campaign (lossy run only); fails loudly on any
+    reliability violation."""
     from repro.faults import run_soak
 
+    res = run_soak(seed=11, loss=0.01, nodes=3, pingpong=pingpong,
+                   compare_clean=False, sim_check=sim_check,
+                   xfer_mode=xfer_mode)
+    if res.violations:
+        raise RuntimeError(
+            f"soak workload violated reliability invariants: "
+            f"{res.violations}")
+    return res
+
+
+def _timed_soak(pingpong: int, repeat: int,
+                xfer_mode: str = "eager") -> Dict:
     best: Optional[Dict] = None
     for _ in range(repeat):
         t0 = time.perf_counter()
-        res = run_soak(seed=11, loss=0.01, nodes=3, pingpong=pingpong,
-                       compare_clean=False,
-                       idle_fast_forward=idle_fast_forward,
-                       xfer_mode=xfer_mode)
+        res = _soak(pingpong, xfer_mode)
         wall = time.perf_counter() - t0
-        if res.violations:
-            raise RuntimeError(
-                f"soak workload violated reliability invariants: "
-                f"{res.violations}")
-        sim = res.obs.machine.sim
-        rec = {
-            "scheduler": sim.scheduler,
-            "sizes": [pingpong],
-            "events": sim.events_executed,
-            "stale_skipped": sim.stale_events_skipped,
-            "wall_s": round(wall, 4),
-            "eps": round(sim.events_executed / wall, 1),
-            "adj_eps": round(_adjusted_eps(sim, wall), 1),
-            "sim_us": round(res.elapsed_us, 3),
-        }
+        rec = _record(res.obs.machine.sim, (pingpong,), wall,
+                      res.elapsed_us)
         if best is None or rec["wall_s"] < best["wall_s"]:
             best = rec
     return best
 
 
 # ---------------------------------------------------------------------------
-# differential determinism: wheel and heap must agree byte-for-byte
+# determinism: event-order digests, gated exactly against the committed file
 # ---------------------------------------------------------------------------
 
 _DIGEST_PACK = struct.Struct("<dq").pack
 
 
-def _digest_run(scheduler: str, name: str, sizes: tuple,
-                xfer_mode: str = "eager"):
-    """Drive a workload one event at a time, hashing the execution order.
-
-    Returns ``(final_sim_time, hex_digest)`` where the digest covers every
-    executed event's ``(when, seq, callback qualname)``.  Two schedulers
-    agree on this digest iff they executed the same callbacks at the same
-    times in the same order.  Entries with negative seqs (the unsequenced
-    observer lane: metrics-sampler ticks) are excluded — they are
-    digest-neutral by contract.
-    """
-    sim = _make_sim(scheduler)
-    procs = _BUILDERS[name](sim, *sizes, xfer_mode=xfer_mode)
-    h = hashlib.blake2b(digest_size=16)
-    pack = _DIGEST_PACK
-    while not all(p.finished for p in procs):
-        if not sim.step():
-            break
-        when, seq, fn = sim.last_event
-        if seq < 0:
-            continue
-        h.update(pack(when, seq))
-        h.update(getattr(fn, "__qualname__", type(fn).__name__).encode())
-    return sim.now, h.hexdigest()
-
-
-def _soak_digest_run(pingpong: int, sharding: bool,
-                     xfer_mode: str = "eager"):
-    """One soak campaign with a digest recorder; ``(sim_us, digest)``."""
-    from repro.faults import run_soak
-
-    rec = _FFDigestRecorder()
-    res = run_soak(seed=11, loss=0.01, nodes=3, pingpong=pingpong,
-                   compare_clean=False, sim_check=rec,
-                   xfer_mode=xfer_mode, sharding=sharding)
-    if res.violations:
-        raise RuntimeError(
-            f"soak digest run violated reliability invariants: "
-            f"{res.violations}")
-    return res.elapsed_us, rec.hexdigest()
-
-
-def run_determinism(sizes: Optional[Dict[str, tuple]] = None,
-                    xfer_mode: str = "eager") -> Dict:
-    """Differential check: sharded == wheel == heap per workload.
-
-    Returns ``{workload: {wheel_digest, heap_digest, sharded_digest,
-    wheel_sim_us, heap_sim_us, sharded_sim_us, identical}}`` plus a
-    ``"soak"`` leg (sharded vs sequential at 1% loss) and an
-    ``"identical"`` rollup key.
-    """
-    sizes = sizes or DIGEST_SIZES
-    out: Dict = {}
-    all_ok = True
-    for name in DUAL_SCHEDULER:
-        if name not in sizes:
-            continue
-        w_now, w_dig = _digest_run("wheel", name, sizes[name], xfer_mode)
-        h_now, h_dig = _digest_run("heap", name, sizes[name], xfer_mode)
-        s_now, s_dig = _digest_run("sharded", name, sizes[name], xfer_mode)
-        ok = (w_dig == h_dig == s_dig) and (w_now == h_now == s_now)
-        all_ok = all_ok and ok
-        out[name] = {
-            "wheel_digest": w_dig,
-            "heap_digest": h_dig,
-            "sharded_digest": s_dig,
-            "wheel_sim_us": w_now,
-            "heap_sim_us": h_now,
-            "sharded_sim_us": s_now,
-            "identical": ok,
-        }
-    soak_pp = (sizes.get("soak") or FF_DIGEST_SIZES["soak"])[0]
-    q_now, q_dig = _soak_digest_run(soak_pp, sharding=False,
-                                    xfer_mode=xfer_mode)
-    s_now, s_dig = _soak_digest_run(soak_pp, sharding=True,
-                                    xfer_mode=xfer_mode)
-    ok = (q_dig == s_dig) and (q_now == s_now)
-    all_ok = all_ok and ok
-    out["soak"] = {
-        "sequential_digest": q_dig,
-        "sharded_digest": s_dig,
-        "sequential_sim_us": q_now,
-        "sharded_sim_us": s_now,
-        "identical": ok,
-    }
-    out["identical"] = all_ok
-    return out
-
-
-# ---------------------------------------------------------------------------
-# differential determinism: idle fast-forward on/off must agree too
-# ---------------------------------------------------------------------------
-
 class _FFDigestRecorder:
     """Event-order digest collected through the engine's check hooks.
 
-    Unlike :func:`_digest_run` this never forces the one-event-at-a-time
-    ``step()`` path: the engine's fast drain loops call ``on_execute`` /
-    ``on_stale`` on whatever object sits on ``sim.check``, so the digest
-    covers exactly what the full-speed path retired — which is the path
-    idle fast-forward changes and therefore the one that must be proven
-    order-identical with fast-forward off.
+    The engine's run loops call ``on_execute`` / ``on_stale`` /
+    ``on_cancel`` on whatever object sits on ``sim.check``, so the digest
+    covers exactly what the full-speed path retired, in order: every
+    executed event's ``(when, seq, callback qualname)``.
     """
 
     __slots__ = ("_update", "_hexdigest", "stale", "cancels")
@@ -532,25 +310,13 @@ class _FFDigestRecorder:
         return self._hexdigest()
 
 
-def _ff_recorded_run(name: str, sizes: tuple, idle_fast_forward: bool,
-                     xfer_mode: str = "eager"):
-    """One wheel run with a digest recorder attached; returns the record."""
+def _recorded_run(name: str, sizes: tuple, xfer_mode: str = "eager") -> Dict:
+    """One workload run with a digest recorder attached."""
     rec = _FFDigestRecorder()
     if name == "soak":
-        from repro.faults import run_soak
-
-        res = run_soak(seed=11, loss=0.01, nodes=3, pingpong=sizes[0],
-                       compare_clean=False, sim_check=rec,
-                       idle_fast_forward=idle_fast_forward,
-                       xfer_mode=xfer_mode)
-        if res.violations:
-            raise RuntimeError(
-                f"soak digest run violated reliability invariants: "
-                f"{res.violations}")
-        sim = res.obs.machine.sim
+        sim = _soak(sizes[0], xfer_mode, sim_check=rec).obs.machine.sim
     else:
-        sim = Simulator(scheduler="wheel",
-                        idle_fast_forward=idle_fast_forward)
+        sim = Simulator()
         procs = _BUILDERS[name](sim, *sizes, xfer_mode=xfer_mode)
         sim.check = rec
         sim.run_until_processes_done(procs, limit=1e12)
@@ -558,219 +324,16 @@ def _ff_recorded_run(name: str, sizes: tuple, idle_fast_forward: bool,
         "digest": rec.hexdigest(),
         "sim_us": sim.now,
         "events": sim.events_executed,
-        "stale_skipped": sim.stale_events_skipped,
     }
 
 
-def run_ff_determinism(sizes: Optional[Dict[str, tuple]] = None,
-                       xfer_mode: str = "eager") -> Dict:
-    """Fast-forward on vs off over all four workloads.
-
-    ``identical`` per workload requires byte-identical digests,
-    bit-identical final simulated clocks, and equal executed/stale
-    counts; anything less means the fast-forward path altered execution
-    rather than just skipping idle queue scans.
-    """
-    sizes = sizes or FF_DIGEST_SIZES
-    out: Dict = {}
-    all_ok = True
-    for name in ALL_WORKLOADS:
-        if name not in sizes:
-            continue
-        on = _ff_recorded_run(name, sizes[name], True, xfer_mode)
-        off = _ff_recorded_run(name, sizes[name], False, xfer_mode)
-        ok = (on["digest"] == off["digest"]
-              and on["sim_us"] == off["sim_us"]
-              and on["events"] == off["events"]
-              and on["stale_skipped"] == off["stale_skipped"])
-        all_ok = all_ok and ok
-        out[name] = {
-            "ff_on_digest": on["digest"],
-            "ff_off_digest": off["digest"],
-            "ff_on_sim_us": on["sim_us"],
-            "ff_off_sim_us": off["sim_us"],
-            "ff_on_events": on["events"],
-            "ff_off_events": off["events"],
-            "identical": ok,
-        }
-    out["identical"] = all_ok
-    return out
-
-
-# ---------------------------------------------------------------------------
-# differential determinism: the worker backend must agree as well
-# ---------------------------------------------------------------------------
-
-def _workers_recorded_run(name: str, sizes: tuple, workers: int,
-                          xfer_mode: str = "eager") -> Dict:
-    """One full-speed sharded run (``workers`` processes when > 1) with
-    an event-order digest recorder on the engine's check hooks.  Under
-    workers the parent replays every worker op through its real merge
-    path, so the recorder sees the exact committed order."""
-    rec = _FFDigestRecorder()
-    sim = _make_sim("sharded", workers=workers)
-    procs = _BUILDERS[name](sim, *sizes, xfer_mode=xfer_mode)
-    sim.check = rec
-    sim.run_until_processes_done(procs, limit=1e12)
-    return {
-        "digest": rec.hexdigest(),
-        "sim_us": sim.now,
-        "events": sim.events_executed,
-        "stale_skipped": sim.stale_events_skipped,
-    }
-
-
-def run_parallel_determinism(sizes: Optional[Dict[str, tuple]] = None,
-                             workers: int = 2,
-                             xfer_mode: str = "eager") -> Dict:
-    """Workers-on vs workers-off vs sequential heap, per workload.
-
-    ``identical`` requires byte-identical digests, bit-identical final
-    clocks, and equal executed/stale counts across all three engines —
-    plus a ``"soak"`` leg driving the 1%-loss chaos campaign through
-    ``run_soak(workers=...)``, whose digest, elapsed clock, and
-    retransmission counters must match the single-process run.
-    """
-    from repro.faults import run_soak
-
-    sizes = sizes or PARALLEL_DIGEST_SIZES
-    out: Dict = {"workers": workers}
-    all_ok = True
-    for name in DUAL_SCHEDULER:
-        if name not in sizes:
-            continue
-        sh = _workers_recorded_run(name, sizes[name], 1, xfer_mode)
-        wk = _workers_recorded_run(name, sizes[name], workers, xfer_mode)
-        h_now, h_dig = _digest_run("heap", name, sizes[name], xfer_mode)
-        ok = (sh["digest"] == wk["digest"] == h_dig
-              and sh["sim_us"] == wk["sim_us"] == h_now
-              and sh["events"] == wk["events"]
-              and sh["stale_skipped"] == wk["stale_skipped"])
-        all_ok = all_ok and ok
-        out[name] = {
-            "sharded_digest": sh["digest"],
-            "workers_digest": wk["digest"],
-            "heap_digest": h_dig,
-            "sharded_sim_us": sh["sim_us"],
-            "workers_sim_us": wk["sim_us"],
-            "heap_sim_us": h_now,
-            "identical": ok,
-        }
-    if "soak" in sizes:
-        legs = {}
-        for label, p in (("sharded", 1), ("workers", workers)):
-            rec = _FFDigestRecorder()
-            res = run_soak(seed=11, loss=0.01, nodes=3,
-                           pingpong=sizes["soak"][0],
-                           compare_clean=False, sim_check=rec,
-                           xfer_mode=xfer_mode, sharding=True,
-                           sample_period_us=None, workers=p)
-            if res.violations:
-                raise RuntimeError(
-                    f"soak workers digest run violated reliability "
-                    f"invariants: {res.violations}")
-            legs[label] = {
-                "digest": rec.hexdigest(),
-                "sim_us": res.elapsed_us,
-                "retransmissions": res.counters.get("retransmissions"),
-            }
-        ok = legs["sharded"] == legs["workers"]
-        all_ok = all_ok and ok
-        out["soak"] = {
-            "sharded_digest": legs["sharded"]["digest"],
-            "workers_digest": legs["workers"]["digest"],
-            "sharded_sim_us": legs["sharded"]["sim_us"],
-            "workers_sim_us": legs["workers"]["sim_us"],
-            "identical": ok,
-        }
-    out["identical"] = all_ok
-    return out
-
-
-# ---------------------------------------------------------------------------
-# sharded scaling: ring traffic at 64/256/1024 nodes
-# ---------------------------------------------------------------------------
-
-def _scaling_run(scheduler: str, nodes: int, iterations: int,
-                 workers: int = 1) -> Dict:
-    """One timed + digest-recorded ring run on one engine."""
-    rec = _FFDigestRecorder()
-    sim = _make_sim(scheduler, workers=workers)
-    procs = _build_ring(sim, nodes, iterations)
-    sim.check = rec
-    t0 = time.perf_counter()
-    sim.run_until_processes_done(procs, limit=1e12)
-    wall = time.perf_counter() - t0
-    out = {
-        "scheduler": scheduler,
-        "events": sim.events_executed,
-        "stale_skipped": sim.stale_events_skipped,
-        "wall_s": round(wall, 4),
-        "adj_eps": round(_adjusted_eps(sim, wall), 1),
-        "sim_us": sim.now,
-        "digest": rec.hexdigest(),
-    }
-    if scheduler == "sharded":
-        out["rounds"] = sim.rounds
-        out["cross_posts"] = sim.cross_posts
-        out["workers"] = workers
-    return out
-
-
-def run_scaling(nodes_list=None,
-                iters: Optional[Dict[int, int]] = None,
-                workers_list=None) -> Dict:
-    """The ``--nodes`` scaling columns: per node count, the sharded
-    engine vs the sequential wheel on the neighbor-ring workload —
-    digests must match, and the events/sec ratio is the committed,
-    machine-independent scaling record the ``--check`` gate defends.
-
-    ``workers_list`` adds one column per worker-process count P
-    (``workers=P`` on the sharded engine): the digest must again be
-    bit-identical, and the workers/sharded eps ratio is the scaling
-    curve the multicore story is judged by (see the ``cpus`` field of
-    the committed report — the ratio only exceeds 1 when the runner
-    actually has the cores).
-    """
-    nodes_list = list(nodes_list or SCALING_NODES)
-    iters = iters or SCALING_ITERS
-    out: Dict = {}
-    all_ok = True
-    for n in nodes_list:
-        iterations = iters.get(n, max(4, 2048 // max(n, 1)))
-        seq = _scaling_run("wheel", n, iterations)
-        sh = _scaling_run("sharded", n, iterations)
-        ok = (seq["digest"] == sh["digest"]
-              and seq["sim_us"] == sh["sim_us"]
-              and seq["events"] == sh["events"])
-        entry = {
-            "nodes": n,
-            "iterations": iterations,
-            "sequential": seq,
-            "sharded": sh,
-            "ratio_sharded_over_sequential": round(
-                sh["adj_eps"] / seq["adj_eps"], 4),
-            "identical": ok,
-        }
-        if workers_list:
-            entry["workers"] = {}
-            for p in workers_list:
-                wr = _scaling_run("sharded", n, iterations, workers=p)
-                wok = (wr["digest"] == seq["digest"]
-                       and wr["sim_us"] == seq["sim_us"]
-                       and wr["events"] == seq["events"])
-                ok = ok and wok
-                entry["workers"][str(p)] = {
-                    **wr,
-                    "ratio_workers_over_sharded": round(
-                        wr["adj_eps"] / sh["adj_eps"], 4),
-                    "identical": wok,
-                }
-            entry["identical"] = ok
-        all_ok = all_ok and ok
-        out[str(n)] = entry
-    out["identical"] = all_ok
-    return out
+def run_determinism(sizes: Optional[Dict[str, tuple]] = None,
+                    xfer_mode: str = "eager") -> Dict:
+    """``{workload: {digest, sim_us, events}}`` for every workload named
+    in ``sizes`` (default :data:`DIGEST_SIZES`)."""
+    sizes = sizes or DIGEST_SIZES
+    return {name: _recorded_run(name, sizes[name], xfer_mode)
+            for name in WORKLOADS if name in sizes}
 
 
 # ---------------------------------------------------------------------------
@@ -809,232 +372,76 @@ def run_perf(
     repeat: Optional[int] = None,
     sizes: Optional[Dict[str, tuple]] = None,
     digest_sizes: Optional[Dict[str, tuple]] = None,
-    ff_digest_sizes: Optional[Dict[str, tuple]] = None,
     xfer_mode: str = "eager",
-    scaling_nodes: Optional[List[int]] = None,
-    workers: Optional[List[int]] = None,
-    parallel_digest_sizes: Optional[Dict[str, tuple]] = None,
 ) -> Dict:
     """Run the whole suite; returns the report ``extra`` payload.
 
-    ``sizes``/``digest_sizes``/``ff_digest_sizes`` override the built-in
-    workload sizes (tests use tiny ones).  ``repeat`` defaults to 3 in
-    quick mode — best-of-N damps scheduler-ratio noise on short runs —
-    and 1 on the full sizes, where runs are long enough to be stable.
-    The soak workload always gets at least best-of-5: its full-size wall
-    is ~45 ms, short enough that single draws scatter by double-digit
-    percentages on a noisy box.  ``xfer_mode`` selects the AM
-    large-message strategy throughout (the determinism digests must be
-    byte-identical under both ``eager`` and ``rendezvous``).
-    ``scaling_nodes`` adds the sharded scaling section (the ``--nodes``
-    columns) at the given node counts; ``None`` skips it.  ``workers``
-    lists worker-process counts: the scaling section grows one column
-    per count, and the workers-backend digest comparison
-    (``determinism_workers``) runs at the first count — it always runs
-    at ``workers=2`` even when the list is ``None``, because the
-    bit-identity contract must hold regardless of whether anyone asked
-    for the timing columns.
+    ``sizes``/``digest_sizes`` override the built-in workload sizes
+    (tests use tiny ones).  ``repeat`` defaults to 3 in quick mode and 1
+    on the full sizes.  The soak workload always gets at least best-of-5:
+    its full-size wall is tens of milliseconds, short enough that single
+    draws scatter by double-digit percentages on a noisy box.
+    ``xfer_mode`` selects the AM large-message strategy throughout.
     """
     sizes = sizes or (QUICK_SIZES if quick else FULL_SIZES)
     if repeat is None:
         repeat = 3 if quick else 1
-    workloads: Dict[str, Dict] = {}
-    # soak first: at ~40 ms its wall is the suite's most noise-sensitive
-    # measurement, so take its draws at the start of the run instead of
-    # a minute of pingpong later, when the box's background load may
-    # have drifted away from whatever the caller probed
-    soak_repeat = max(repeat, 5)
-    soak: Dict = {
-        "wheel": _timed_soak(sizes["soak"][0], soak_repeat,
-                             xfer_mode=xfer_mode),
-        "wheel_noff": _timed_soak(sizes["soak"][0], soak_repeat,
-                                  idle_fast_forward=False,
-                                  xfer_mode=xfer_mode),
+    # soak first: its short wall is the suite's most noise-sensitive
+    # measurement, so take its draws before the box's background load
+    # has had a minute of pingpong to drift
+    workloads: Dict[str, Dict] = {
+        "soak": _timed_soak(sizes["soak"][0], max(repeat, 5),
+                            xfer_mode=xfer_mode),
     }
-    soak["ratio_ff_on_over_off"] = round(
-        soak["wheel"]["adj_eps"] / soak["wheel_noff"]["adj_eps"], 4)
-    workloads["soak"] = soak
-    for name in DUAL_SCHEDULER:
-        per: Dict = {}
-        for scheduler in ("wheel", "heap"):
-            per[scheduler] = _timed_run(name, scheduler, sizes[name], repeat,
-                                        xfer_mode=xfer_mode)
-        per["wheel_noff"] = _timed_run(name, "wheel", sizes[name], repeat,
-                                       idle_fast_forward=False,
-                                       xfer_mode=xfer_mode)
-        per["ratio_wheel_over_heap"] = round(
-            per["wheel"]["adj_eps"] / per["heap"]["adj_eps"], 4)
-        per["ratio_ff_on_over_off"] = round(
-            per["wheel"]["adj_eps"] / per["wheel_noff"]["adj_eps"], 4)
-        workloads[name] = per
-    out = {
+    for name in ("pingpong", "bulk", "alltoall"):
+        workloads[name] = _timed_run(name, sizes[name], repeat,
+                                     xfer_mode=xfer_mode)
+    return {
         "quick": quick,
         "repeat": repeat,
         "xfer_mode": xfer_mode,
         "cpus": os.cpu_count(),
         "workloads": workloads,
         "determinism": run_determinism(digest_sizes, xfer_mode),
-        "determinism_ff": run_ff_determinism(ff_digest_sizes, xfer_mode),
-        "determinism_workers": run_parallel_determinism(
-            parallel_digest_sizes, (workers or [2])[0], xfer_mode),
         "attribution": _attribution_section(50 if quick else 200),
-        "baseline_pre_pr": dict(PRE_PR_BASELINE),
     }
-    if scaling_nodes is not None:
-        out["scaling"] = run_scaling(scaling_nodes, workers_list=workers)
-    return out
 
 
 def report_entries(data: Dict) -> List[tuple]:
     """``(name, paper, measured)`` rows for :func:`make_report`."""
-    entries = []
-    for name, per in data["workloads"].items():
-        w = per["wheel"]
-        entries.append((f"{name} events/sec (adjusted)", None, w["adj_eps"]))
-        if not data["quick"]:
-            # speedups only mean something on the full-size workloads the
-            # baseline was measured with
-            entries.append((f"{name} speedup vs pre-PR (x)", None,
-                            w["adj_eps"] / PRE_PR_BASELINE[name]))
-        if "ratio_wheel_over_heap" in per:
-            entries.append((f"{name} wheel/heap eps ratio", None,
-                            per["ratio_wheel_over_heap"]))
-        if "ratio_ff_on_over_off" in per:
-            entries.append((f"{name} idle-ff on/off eps ratio", None,
-                            per["ratio_ff_on_over_off"]))
+    entries = [(f"{name} events/sec (adjusted)", None, w["adj_eps"])
+               for name, w in data["workloads"].items()]
     att = data.get("attribution")
     if att is not None:
         entries.append(("pingpong attribution coverage", 1.0,
                         att["coverage"]["coverage"]))
-    scaling = data.get("scaling")
-    if scaling is not None:
-        for key, per in scaling.items():
-            if key == "identical":
-                continue
-            entries.append((
-                f"ring {per['nodes']}n sharded events/sec (adjusted)",
-                None, per["sharded"]["adj_eps"]))
-            entries.append((
-                f"ring {per['nodes']}n sharded/sequential eps ratio",
-                None, per["ratio_sharded_over_sequential"]))
-            for p, wper in per.get("workers", {}).items():
-                entries.append((
-                    f"ring {per['nodes']}n workers={p} events/sec "
-                    f"(adjusted)", None, wper["adj_eps"]))
-                entries.append((
-                    f"ring {per['nodes']}n workers={p}/sharded eps ratio",
-                    None, wper["ratio_workers_over_sharded"]))
     return entries
 
 
-def check_regression(current: Dict, committed: Dict,
-                     tolerance: float = 0.2) -> List[str]:
-    """Machine-independent regression gate.
-
-    Compares the wheel/heap adjusted-eps ratio per workload against the
-    committed report's ratio; a drop beyond ``tolerance`` (default 20%)
-    is a regression.  Absolute events/sec never enters the comparison,
-    so the gate is insensitive to CI hardware speed.
-
-    The idle-fast-forward on/off ratio is gated the same way, but with a
-    floor that concedes half the committed gain (``1 + (ref - 1)/2``)
-    and only where the committed report shows fast-forward actually
-    mattering (ref >= 1.1): a silently-disabled fast path lands at ~1.0
-    and trips the gate on exactly the workloads it was built for, while
-    workloads that never idle (ratio ~1.0) can't flake the gate on
-    timing noise.
-    """
+def check_regression(current: Dict, committed: Dict) -> List[str]:
+    """The golden-digest gate: every workload in the committed report's
+    ``determinism`` section must reproduce its digest, final simulated
+    clock and executed-event count *exactly*.  Wall times never enter
+    the comparison, so the gate is independent of the box's speed."""
     problems: List[str] = []
-    ref_workloads = committed.get("workloads", {})
-    for name in DUAL_SCHEDULER:
-        cur = current["workloads"].get(name, {}).get("ratio_wheel_over_heap")
-        ref = ref_workloads.get(name, {}).get("ratio_wheel_over_heap")
-        if cur is None or ref is None:
-            problems.append(f"{name}: missing wheel/heap ratio "
-                            f"(current={cur}, committed={ref})")
+    if current.get("xfer_mode") != committed.get("xfer_mode"):
+        problems.append(
+            f"xfer_mode {current.get('xfer_mode')!r} differs from the "
+            f"committed report's {committed.get('xfer_mode')!r}; the "
+            f"digests are only comparable in the same mode")
+        return problems
+    ref = committed.get("determinism", {})
+    cur = current.get("determinism", {})
+    if not ref:
+        problems.append("committed report has no determinism section")
+    for name, want in ref.items():
+        got = cur.get(name)
+        if got is None:
+            problems.append(f"{name}: no determinism record in this run")
             continue
-        floor = (1.0 - tolerance) * ref
-        if cur < floor:
-            problems.append(
-                f"{name}: wheel/heap eps ratio {cur:.3f} fell below "
-                f"{floor:.3f} ({(1.0 - tolerance) * 100:.0f}% of the "
-                f"committed {ref:.3f}) — wheel scheduler regression")
-    for name in ALL_WORKLOADS:
-        ref = ref_workloads.get(name, {}).get("ratio_ff_on_over_off")
-        if ref is None or ref < 1.1:
-            # pre-fast-forward committed report, or a workload where
-            # fast-forward never bought anything to lose
-            continue
-        cur = current["workloads"].get(name, {}).get("ratio_ff_on_over_off")
-        floor = 1.0 + (ref - 1.0) * 0.5
-        if cur is None:
-            problems.append(f"{name}: missing idle-ff on/off ratio "
-                            f"(committed={ref})")
-        elif cur < floor:
-            problems.append(
-                f"{name}: idle-ff on/off eps ratio {cur:.3f} fell below "
-                f"{floor:.3f} (half the committed gain of {ref:.3f}) — "
-                f"idle fast-forward regression")
-    if not current["determinism"]["identical"]:
-        problems.append(
-            "wheel/heap/sharded event-order digests differ")
-    if not current.get("determinism_ff", {}).get("identical", True):
-        problems.append(
-            "idle fast-forward on/off event-order digests differ")
-    if not current.get("determinism_workers", {}).get("identical", True):
-        problems.append(
-            "worker-backend event-order digests differ from the "
-            "single-process engines")
-    # sharded scaling: digests must hold at every measured node count,
-    # and the sharded/sequential eps ratio must not collapse vs the
-    # committed record (same machine-independence argument as above)
-    cur_scaling = current.get("scaling")
-    if cur_scaling is not None:
-        if not cur_scaling.get("identical", True):
-            problems.append(
-                "sharded/sequential event-order digests differ in the "
-                "scaling section")
-        ref_scaling = committed.get("scaling", {})
-        for key, per in cur_scaling.items():
-            if key == "identical":
-                continue
-            ref = ref_scaling.get(key, {}).get(
-                "ratio_sharded_over_sequential")
-            if ref is None:
-                continue  # node count not in the committed report
-            cur = per["ratio_sharded_over_sequential"]
-            floor = (1.0 - tolerance) * ref
-            if cur < floor:
+        for key in DIGEST_FIELDS:
+            if got.get(key) != want.get(key):
                 problems.append(
-                    f"scaling {per['nodes']}n: sharded/sequential eps "
-                    f"ratio {cur:.3f} fell below {floor:.3f} "
-                    f"({(1.0 - tolerance) * 100:.0f}% of the committed "
-                    f"{ref:.3f}) — sharded engine regression")
-            # workers speedup columns are CPU-aware: the committed
-            # ratio only constitutes a target when the committed run
-            # actually showed a gain (ref >= 1.1 — a 1-CPU reference
-            # box records honest sub-1 ratios, which are not a floor
-            # worth defending) AND this runner has at least P cores to
-            # reproduce it with.  Digest identity is gated above
-            # unconditionally either way.
-            for p, wref_per in ref_scaling.get(key, {}).get(
-                    "workers", {}).items():
-                wref = wref_per.get("ratio_workers_over_sharded")
-                if wref is None or wref < 1.1:
-                    continue
-                if (os.cpu_count() or 1) < int(p):
-                    continue
-                wcur = per.get("workers", {}).get(p, {}).get(
-                    "ratio_workers_over_sharded")
-                wfloor = 1.0 + (wref - 1.0) * 0.5
-                if wcur is None:
-                    problems.append(
-                        f"scaling {per['nodes']}n: missing workers={p} "
-                        f"column (committed ratio {wref:.3f})")
-                elif wcur < wfloor:
-                    problems.append(
-                        f"scaling {per['nodes']}n: workers={p}/sharded "
-                        f"eps ratio {wcur:.3f} fell below {wfloor:.3f} "
-                        f"(half the committed gain of {wref:.3f}) — "
-                        f"worker backend regression")
+                    f"{name}: {key} {got.get(key)!r} != committed "
+                    f"{want.get(key)!r} — the event order changed")
     return problems

@@ -33,7 +33,7 @@ from repro.mpi import attach_mpi
 from repro.mpi.comm import Communicator
 from repro.mpi.status import ANY_SOURCE
 from repro.obs.core import Observatory
-from repro.sim import ShardedSimulator, Simulator
+from repro.sim import Simulator
 from repro.sim.errors import SimulationError
 
 #: fixed communicator contexts, one per subcommunicator name; kept below
@@ -48,12 +48,6 @@ _P2P_SIZES = (0, 1, 17, 256, 1024, 4000, 8192, 12000, 20000)
 _COLL_SIZES = (1, 16, 64, 256)
 _COLLECTIVES = ("barrier", "bcast", "reduce", "allreduce", "gather",
                 "alltoall", "scan")
-
-#: post-barrier drain: a rank declares itself done once its own protocol
-#: state has been quiet this long.  Keep-alives back off up to
-#: ``keepalive_idle * 64`` = 25.6 ms between sends, so a 30 ms window
-#: outlasts the longest legitimate silent gap (mirrors repro.faults.soak)
-_DRAIN_GRACE_US = 30_000.0
 
 
 def _subcomms(nodes: int) -> Dict[str, Tuple[List[int], int]]:
@@ -206,19 +200,14 @@ class _CheckCampaign:
     def __init__(self, seed: int, nodes: int, ops: List[dict], loss: float,
                  collect: bool, limit: float,
                  only: Optional[List[str]] = None,
-                 xfer_mode: str = "eager", sharding: bool = False,
-                 workers: int = 1):
+                 xfer_mode: str = "eager"):
         self.seed = seed
         self.nodes = nodes
         self.ops = ops
         self.limit = limit
         self.violations: List[str] = []
         self.aborted = False
-        if workers > 1 and not sharding:
-            raise ValueError("workers > 1 requires the sharded engine")
-        self.workers = workers
-        self.sim = (ShardedSimulator(workers=workers) if sharding
-                    else Simulator())
+        self.sim = Simulator()
         self.machine = build_sp_machine(self.sim, nodes)
         self.obs = Observatory().attach(self.machine)
         self.ams = attach_spam(self.machine, xfer_mode=xfer_mode)
@@ -227,6 +216,7 @@ class _CheckCampaign:
             install_faults(self.machine, FaultPlan.loss(seed, loss))
         # last: MPI attachment must exist so allocators get checkers
         self.san = Sanitizer(collect=collect, only=only).attach(self.machine)
+        self._finished = [0]
         subs = _subcomms(nodes)
         #: per world rank: subcomm name -> Communicator (members only)
         self.comms: List[Dict[str, Communicator]] = []
@@ -397,74 +387,55 @@ class _CheckCampaign:
 
     # -- the per-rank program -------------------------------------------
 
-    def _rank_quiet(self, w: int) -> bool:
-        """Is rank ``w``'s *own* protocol state drained?  Deliberately
-        node-local (no switch counters, no other rank's windows) so the
-        identical drain predicate runs inside shard worker processes
-        (``workers > 1``), where a rank cannot see foreign shards."""
-        am = self.ams[w]
-        if am._active_sends or am._deferred_replies:
+    def _quiesced(self) -> bool:
+        if self.sim.live_pending_count() == 0:
+            # live-only count: tombstoned (cancelled) keep-alive timers
+            # still occupy queue slots but represent no future work, so
+            # a machine with zero live entries can never change again
+            return True
+        if self.machine.switch.in_flight > 0:
             return False
-        if am._rdma_grants or am._deferred_cts or am._rdma_ack_due:
-            return False
-        adapter = am.adapter
-        if adapter.send_fifo.occupied > 0:
-            return False
-        rf = adapter.recv_fifo
-        visible = len(rf.visible)
-        if visible > 0:
-            return False
-        if rf.occupied != visible + rf.pending_pop:
-            return False  # a packet is mid-RX-DMA
-        # open-coded window-field reads (vs the has_unacked /
-        # has_partial_assembly properties): this runs per idle poll
-        for peer in am._peers.values():
-            s_req, s_rep = peer.send
-            if s_req._saved or s_rep._saved:
+        for am in self.ams:
+            if am._active_sends or am._deferred_replies:
                 return False
-            r_req, r_rep = peer.recv
-            if r_req._assembly is not None or r_rep._assembly is not None:
+            if am._rdma_grants or am._deferred_cts or am._rdma_ack_due:
                 return False
-        adi = self.mpis[w].adi
-        if adi._send_states or adi._recv_states:
-            return False
+            adapter = am.adapter
+            if adapter.send_fifo.occupied > 0:
+                return False
+            rf = adapter.recv_fifo
+            visible = len(rf.visible)
+            if visible > 0:
+                return False
+            if rf.occupied != visible + rf.pending_pop:
+                return False  # a packet is mid-RX-DMA
+            # open-coded window-field reads (vs the has_unacked /
+            # has_partial_assembly properties): this runs per idle poll
+            for peer in am._peers.values():
+                s_req, s_rep = peer.send
+                if s_req._saved or s_rep._saved:
+                    return False
+                r_req, r_rep = peer.recv
+                if r_req._assembly is not None or r_rep._assembly is not None:
+                    return False
+        for mpi in self.mpis:
+            if mpi.adi._send_states or mpi.adi._recv_states:
+                return False
         return True
 
     def _program(self, w: int):
         mpi = self.mpis[w]
-        node = self.machine.nodes[w]
         for i, op in enumerate(self.ops):
             yield from self._run_op(i, op, w)
         yield from mpi.barrier()
-        # Drain.  The world barrier above proves every rank has finished
-        # its ops; what remains is straggling protocol traffic (acks,
-        # batched frees, retransmissions under loss).  Serve the network
-        # until this rank's own state has been quiet — and no packet has
-        # arrived — for a grace window that outlasts the keep-alive
-        # backoff.  Any in-flight packet addressed to us lands within
-        # wire latency, bumps rx_packets, and restarts the window.
-        rx = node.adapter._c_rx_packets
-        quiet_since = None
-        last_rx = rx.value
-        while True:
-            if rx.value == last_rx and self._rank_quiet(w):
-                if quiet_since is None:
-                    quiet_since = self.sim.now
-                elif self.sim.now - quiet_since >= _DRAIN_GRACE_US:
-                    break
-            else:
-                quiet_since = None
-                last_rx = rx.value
+        self._finished[0] += 1
+        while self._finished[0] < self.nodes or not self._quiesced():
             yield from mpi.adi._wait_progress()
 
     # -- execution ------------------------------------------------------
 
     def run(self) -> float:
-        self._vio_baseline = len(self.violations)
-        self._san_baseline = len(self.san.violations)
-        if self.workers > 1:
-            self.sim.worker_finalize = self._finalize_span
-        procs = [self.sim.spawn(self._program(w), name=f"check{w}", shard=w)
+        procs = [self.sim.spawn(self._program(w), name=f"check{w}")
                  for w in range(self.nodes)]
         try:
             self.sim.run_until_processes_done(procs, limit=self.limit)
@@ -474,82 +445,11 @@ class _CheckCampaign:
         except (ValueError, AssertionError) as exc:
             self.aborted = True
             self.violations.append(f"{type(exc).__name__}: {exc}")
-        self._collect_finalizers()
+        if not self.aborted:
+            # conservation only means something on a drained machine
+            self.san.check_quiescent()
+        self.violations.extend(str(v) for v in self.san.violations)
         return self.sim.now
-
-    def _finalize_span(self, lo: int, hi: int) -> Dict:
-        """Runs inside each worker at shutdown: everything the parent
-        needs from this shard span's live state — workload complaints,
-        sanitizer violations (run-time and quiescence-time separately,
-        so an aborted parent can discard the latter), check counts,
-        delivery digest, and the conservation-equation operands."""
-        san = self.san
-        vio_base = len(san.violations)
-        numbers = san.quiescence_local(lo, hi)
-        return {
-            "lo": lo, "hi": hi,
-            "complaints": list(self.violations[self._vio_baseline:]),
-            "violations": [str(v)
-                           for v in san.violations[self._san_baseline:
-                                                   vio_base]],
-            "q_violations": [str(v) for v in san.violations[vio_base:]],
-            "numbers": numbers,
-            **san.span_report(lo, hi),
-        }
-
-    def _collect_finalizers(self) -> None:
-        """Populate ``check_counts`` / ``delivered_units`` / ``digest``
-        and fold worker payloads into ``violations``.  The sequential
-        path runs the exact same two quiescence phases over the single
-        span (0, nodes), so verdicts are engine-independent."""
-        if self.workers > 1:
-            payloads = getattr(self.sim, "worker_results", None)
-            if payloads is None:
-                # run died before the final round handshake; the
-                # SimulationError is already recorded above
-                self.violations.extend(
-                    str(v) for v in self.san.violations)
-                self.check_counts = dict(self.san.snapshot())
-                self.delivered_units = 0
-                self.digest = 0
-                return
-            payloads = sorted(payloads, key=lambda p: p["lo"])
-            numbers = {"outstanding": {}, "owed": {}}
-            for p in payloads:
-                self.violations.extend(p["complaints"])
-                self.violations.extend(p["violations"])
-                numbers["outstanding"].update(p["numbers"]["outstanding"])
-                numbers["owed"].update(p["numbers"]["owed"])
-            if not self.aborted:
-                for p in payloads:
-                    self.violations.extend(p["q_violations"])
-                # cross-node pair equation over the shipped numbers;
-                # failures land in the parent sanitizer's violations
-                self.san.quiescence_pairs(numbers)
-            self.violations.extend(str(v) for v in self.san.violations)
-            # parent snapshot covers the sequencer-side SchedulerCheck
-            # (workers run with sim.check cleared) plus the pair checks
-            # just counted; worker payloads carry every per-node checker
-            counts = dict(self.san.snapshot())
-            units = 0
-            digest = 0
-            for p in payloads:
-                for k, v in p["counts"].items():
-                    counts[k] = counts.get(k, 0) + v
-                units += p["units"]
-                digest ^= p["digest"]
-            self.check_counts = counts
-            self.delivered_units = units
-            self.digest = digest
-        else:
-            if not self.aborted:
-                # conservation only means something on a drained machine
-                self.san.check_quiescent()
-            self.violations.extend(str(v) for v in self.san.violations)
-            self.check_counts = dict(self.san.snapshot())
-            rep = self.san.span_report(0, self.nodes)
-            self.delivered_units = rep["units"]
-            self.digest = rep["digest"]
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +467,6 @@ def run_campaign(
     limit: float = 5e7,
     only: Optional[List[str]] = None,
     xfer_mode: str = "eager",
-    sharding: bool = False,
-    workers: int = 1,
 ) -> CampaignResult:
     """One seeded campaign under the sanitizer; returns its verdict.
 
@@ -576,31 +474,25 @@ def run_campaign(
     the ops are :func:`generate_ops(seed, nodes, nops)`.  ``xfer_mode``
     selects the AM large-message strategy, so the same op mix can
     cross-check the eager chunk protocol against rendezvous.
-    ``sharding`` runs the campaign on the per-node-sharded engine —
-    execution is digest-identical, so every sanitizer verdict carries
-    over unchanged.  ``workers`` additionally spreads the shards over
-    that many worker processes (implies ``sharding``): per-node checkers
-    then run inside the workers and their violations, check counts, and
-    delivery digests are shipped back at shutdown — verdicts, units,
-    and digests stay identical to every sequential engine.  Two
-    worker-mode caveats: the critical-path rollup is empty (traces are
-    recorded worker-side and not shipped), and an op that *raises*
-    inside a worker surfaces as the worker-failure traceback alone —
-    checker entries collected before the crash die with the worker.
     """
     ops = op_list if op_list is not None else generate_ops(seed, nodes, nops)
     camp = _CheckCampaign(seed, nodes, ops, loss, collect, limit, only,
-                          xfer_mode=xfer_mode,
-                          sharding=sharding or workers > 1, workers=workers)
+                          xfer_mode=xfer_mode)
     elapsed = camp.run()
+    from repro.check.core import RecvWindowCheck
     from repro.obs.critpath import critpath_rollup
 
+    units = 0
+    digest = 0
+    for c in camp.san._checkers:
+        if isinstance(c, RecvWindowCheck):
+            units += c.delivered_units
+            digest ^= c.digest
     return CampaignResult(
         seed=seed, nodes=nodes, loss=loss, nops=len(ops),
         xfer_mode=xfer_mode,
-        violations=camp.violations, checks=camp.check_counts,
-        delivered_units=camp.delivered_units, digest=camp.digest,
-        elapsed_us=elapsed,
+        violations=camp.violations, checks=camp.san.snapshot(),
+        delivered_units=units, digest=digest, elapsed_us=elapsed,
         aborted=camp.aborted, ops=ops,
         critpath=critpath_rollup(camp.obs, by_kind=False).get("ALL", {}),
     )

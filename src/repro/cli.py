@@ -16,14 +16,12 @@ Usage::
                                         # metrics sampler + critical-path
                                         # attribution over three workloads
     spam-bench soak --seed 7 --loss 0.05 [--chaos] [--xfer-mode rendezvous]
-                    [--workers P]       # chaos campaign vs the reliability layer
+                                        # chaos campaign vs the reliability layer
     spam-bench perf [--quick] [--check BENCH_simperf.json]
-                    [--nodes 64 256 1024] [--workers 2 4]
-                                        # simulator events/sec + wheel-vs-heap
-                                        # + worker-backend determinism/
-                                        # regression gates
+                                        # simulator events/sec + golden
+                                        # event-order digest gate
     spam-bench check --seeds 20 [--loss 0.01] [--shrink] [--xfer-mode auto]
-                     [--workers P]      # randomized conformance campaigns
+                                        # randomized conformance campaigns
                                         # under the invariant sanitizer
     spam-bench protocols [--quick]      # eager vs rendezvous vs MPL vs MPI-F
                                         # bandwidth curves + crossover gate
@@ -278,23 +276,14 @@ def cmd_soak(args) -> int:
     from repro.faults import run_soak
     from repro.obs.critpath import bottleneck_verdict, critpath_rollup
 
-    # the gauge sampler reads machine-wide state, so worker-mode runs
-    # disable it regardless of --sample-period-us
-    sample = (args.sample_period_us
-              if args.sample_period_us > 0 and args.workers == 1 else None)
-    try:
-        result = run_soak(
-            seed=args.seed, loss=args.loss, nodes=args.nodes,
-            pingpong=args.pingpong, chaos=args.chaos,
-            compare_clean=not args.no_clean,
-            sample_period_us=sample,
-            xfer_mode=args.xfer_mode,
-            workers=args.workers,
-        )
-    except ValueError as e:
-        # e.g. --chaos with --workers: adapter-site fault kinds draw RNG
-        # inside the workers and cannot replay deterministically
-        raise SystemExit(f"spam-bench: {e}")
+    result = run_soak(
+        seed=args.seed, loss=args.loss, nodes=args.nodes,
+        pingpong=args.pingpong, chaos=args.chaos,
+        compare_clean=not args.no_clean,
+        sample_period_us=(args.sample_period_us
+                          if args.sample_period_us > 0 else None),
+        xfer_mode=args.xfer_mode,
+    )
     print("\n".join(result.summary_lines()))
     critpath = critpath_rollup(result.obs)
     verdict = bottleneck_verdict(critpath, result.obs.metrics)
@@ -346,7 +335,7 @@ def cmd_check(args) -> int:
         # also sees the retransmission/go-back-N paths
         loss = args.loss if k % 3 == 2 else 0.0
         r = run_campaign(seed, nodes=args.nodes, nops=args.ops, loss=loss,
-                         xfer_mode=args.xfer_mode, workers=args.workers)
+                         xfer_mode=args.xfer_mode)
         results.append(r)
         print(r.summary())
         for v in r.violations:
@@ -391,87 +380,29 @@ def cmd_perf(args) -> int:
     from repro.bench.perf import check_regression, report_entries, run_perf
 
     data = run_perf(quick=args.quick, repeat=args.repeat,
-                    xfer_mode=args.xfer_mode, scaling_nodes=args.nodes,
-                    workers=args.workers)
-    rows = []
-    for name, per in data["workloads"].items():
-        w = per["wheel"]
-        rows.append((name, w["events"], w["stale_skipped"], w["wall_s"],
-                     w["adj_eps"], per.get("ratio_wheel_over_heap", "-")))
-    print(fmt_table("simulator core (wheel scheduler)",
-                    ["workload", "events", "stale", "wall(s)",
-                     "adj ev/s", "w/h ratio"], rows))
-    det = data["determinism"]
-    for name, d in det.items():
-        if name == "identical":
-            continue
-        verdict = "identical" if d["identical"] else "MISMATCH"
-        if name == "soak":
-            print(f"determinism soak: sequential==sharded {verdict} "
-                  f"(digest {d['sequential_digest'][:12]}.., "
-                  f"t={d['sequential_sim_us']:.3f}us)")
-        else:
-            print(f"determinism {name}: wheel==heap==sharded {verdict} "
-                  f"(digest {d['wheel_digest'][:12]}.., "
-                  f"t={d['wheel_sim_us']:.3f}us)")
-    rc = 0
-    if not det["identical"]:
-        print("FAIL: the schedulers executed different event orders")
-        rc = 1
-    dw = data.get("determinism_workers")
-    if dw is not None:
-        verdict = "identical" if dw["identical"] else "MISMATCH"
-        print(f"determinism workers={dw['workers']}: "
-              f"workers==sharded==heap {verdict}")
-        if not dw["identical"]:
-            print("FAIL: the worker backend executed a different "
-                  "event order")
-            rc = 1
-    scaling = data.get("scaling")
-    if scaling is not None:
-        rows = []
-        for key, per in scaling.items():
-            if key == "identical":
-                continue
-            sh = per["sharded"]
-            rows.append((per["nodes"], per["iterations"], sh["events"],
-                         sh["rounds"], sh["adj_eps"],
-                         per["ratio_sharded_over_sequential"],
-                         "yes" if per["identical"] else "NO"))
-        print(fmt_table("sharded scaling (ring all-to-neighbor)",
-                        ["nodes", "iters", "events", "rounds",
-                         "sharded ev/s", "sh/seq ratio", "identical"],
-                        rows))
-        wrows = []
-        for key, per in scaling.items():
-            if key == "identical":
-                continue
-            for p, wper in sorted(per.get("workers", {}).items(),
-                                  key=lambda kv: int(kv[0])):
-                wrows.append((per["nodes"], p, wper["adj_eps"],
-                              wper["ratio_workers_over_sharded"],
-                              "yes" if wper["identical"] else "NO"))
-        if wrows:
-            print(fmt_table("worker-process scaling (same ring)",
-                            ["nodes", "workers", "adj ev/s",
-                             "w/sh ratio", "identical"], wrows))
-        if not scaling["identical"]:
-            print("FAIL: sharded scaling run diverged from the "
-                  "sequential reference")
-            rc = 1
+                    xfer_mode=args.xfer_mode)
+    rows = [(name, w["events"], w["stale_skipped"], w["wall_s"],
+             w["adj_eps"]) for name, w in data["workloads"].items()]
+    print(fmt_table("simulator core",
+                    ["workload", "events", "stale", "wall(s)", "adj ev/s"],
+                    rows))
+    for name, d in data["determinism"].items():
+        print(f"determinism {name}: digest {d['digest']} "
+              f"t={d['sim_us']:.3f}us events={d['events']}")
     _write_report(args, "simperf", report_entries(data), extra=data)
+    rc = 0
     if args.check:
         import json
 
         with open(args.check) as f:
             committed = json.load(f)
-        problems = check_regression(data, committed, tolerance=args.tolerance)
+        problems = check_regression(data, committed)
         for p in problems:
             print(f"regression: {p}")
         if problems:
             rc = 1
         else:
-            print(f"regression check vs {args.check}: OK")
+            print(f"golden digest check vs {args.check}: OK")
     return rc
 
 
@@ -647,27 +578,15 @@ def main(argv=None) -> int:
     _add_report_opts(pf)
     pp = sub.add_parser(
         "perf", help="simulator-core events/sec suite + "
-                     "wheel/heap/sharded determinism check")
+                     "golden event-order digests")
     pp.add_argument("--quick", action="store_true",
                     help="reduced workloads (CI smoke)")
     pp.add_argument("--repeat", type=_positive_int, default=None,
                     help="best-of-N timing (default: 3 quick, 1 full)")
     pp.add_argument("--check", metavar="FILE", default=None,
-                    help="fail if the wheel/heap eps ratio regresses vs "
-                         "this committed BENCH_simperf.json")
-    pp.add_argument("--tolerance", type=float, default=0.2,
-                    help="allowed ratio drop for --check (default 0.2)")
-    pp.add_argument("--nodes", type=_positive_int, nargs="+", default=None,
-                    metavar="N",
-                    help="sharded scaling section: ring workload at these "
-                         "node counts, sharded vs sequential (e.g. "
-                         "--nodes 64 256 1024)")
-    pp.add_argument("--workers", type=_positive_int, nargs="+", default=None,
-                    metavar="P",
-                    help="worker-process counts: adds workers=P columns "
-                         "to the scaling section and runs the workers "
-                         "digest gate at the first count (e.g. "
-                         "--workers 2 4)")
+                    help="fail unless every event-order digest, final "
+                         "clock and event count equals this committed "
+                         "BENCH_simperf.json")
     _add_xfer_mode(pp)
     _add_report_opts(pp)
     ps = sub.add_parser(
@@ -690,12 +609,7 @@ def main(argv=None) -> int:
                     metavar="US",
                     help="periodic gauge sampler on the lossy run; the "
                          "unsequenced lane keeps it digest-neutral "
-                         "(default 50, 0 disables; forced off when "
-                         "--workers > 1)")
-    ps.add_argument("--workers", type=_positive_int, default=1, metavar="P",
-                    help="run the lossy campaign on the sharded engine "
-                         "with P worker processes (bit-identical to "
-                         "sequential; drop-family faults only)")
+                         "(default 50, 0 disables)")
     _add_xfer_mode(ps)
     _add_report_opts(ps)
     pc = sub.add_parser(
@@ -714,10 +628,6 @@ def main(argv=None) -> int:
     pc.add_argument("--shrink", action="store_true",
                     help="minimize any failing campaign to its smallest "
                          "failing op list")
-    pc.add_argument("--workers", type=_positive_int, default=1, metavar="P",
-                    help="run each campaign on the sharded engine with P "
-                         "worker processes (verdicts and digests are "
-                         "engine-independent; shrinking stays sequential)")
     _add_xfer_mode(pc)
     _add_report_opts(pc)
     pb = sub.add_parser(

@@ -13,13 +13,9 @@ three workload phases on every node:
 3. **Split-C** — barrier, allreduce, and a split-phase ``put_bulk`` +
    ``sync``, exercising the runtime's handler traffic under loss.
 
-After the phases, every rank broadcasts a done marker, then serves the
-network until every rank has announced done and its *own* state has been
-quiet for a grace window that outlasts the keep-alive machinery: send
-windows drained, no partial chunk assemblies, no deferred replies,
-nothing host-visible left unread, no packet arrivals.  The predicate is
-deliberately node-local, so the identical drain logic runs inside shard
-worker processes (``workers > 1``).  The run then
+After the phases, every rank serves the network until the whole machine
+quiesces: all send windows drained, no partial chunk assemblies, no
+deferred replies, nothing host-visible left unread.  The run then
 reconciles three ledgers against each other:
 
 * the workload's own records (delivery order, memory contents),
@@ -51,7 +47,7 @@ from repro.faults.injector import InjectedFault, install_faults
 from repro.faults.plan import FaultPlan
 from repro.hardware.machine import build_sp_machine
 from repro.obs.core import Observatory
-from repro.sim import ShardedSimulator, Simulator
+from repro.sim import Simulator
 from repro.sim.errors import SimulationError
 from repro.splitc.gptr import GlobalPtr
 from repro.splitc.runtime import attach_splitc
@@ -59,20 +55,6 @@ from repro.splitc.runtime import attach_splitc
 #: fault kinds that destroy the packet and must therefore also show up
 #: as a ``packet_dropped`` observability event
 _LOSSY_KINDS = frozenset({"drop", "corrupt", "rx_overflow"})
-
-#: fault kinds whose injection point is the *adapter* (per-node code that
-#: runs worker-side under ``workers > 1``); their RNG draws and ledger
-#: writes would land in worker processes instead of the parent sequencer,
-#: so the multiprocessing backend rejects plans containing them
-_ADAPTER_SITE_KINDS = frozenset({"rx_overflow", "tx_stall"})
-
-#: how long a rank must stay *locally* quiet (all peers announced done,
-#: windows drained, FIFOs empty, no packet arrivals) before it leaves its
-#: drain loop.  Must exceed the longest silence the recovery machinery
-#: can produce while a peer still needs this rank: keep-alives back off
-#: up to ``keepalive_idle * 64`` = 25.6 ms between sends, so anything a
-#: peer still wants re-served interrupts a 30 ms window
-_DRAIN_GRACE_US = 30_000.0
 
 #: Split-C put_bulk payload in phase 3 (small on purpose: the phase
 #: exercises handler traffic, not bandwidth)
@@ -91,13 +73,6 @@ def _h_ping(token, src, i):
 
 def _h_pong(token, src, i):
     token.am.node.soak_pongs.setdefault(src, []).append(i)
-
-
-def _h_done(token, src):
-    # done-broadcast marker: ``src`` has finished its workload phases.
-    # State is node-local (the handler runs on the receiving node's
-    # shard), so the drain protocol works unchanged in worker processes.
-    token.am.node.soak_done_from.add(src)
 
 
 @lru_cache(maxsize=64)
@@ -197,63 +172,34 @@ class _Campaign:
 
     def __init__(self, nodes: int, pingpong: int, bulk_bytes: int,
                  plan: Optional[FaultPlan], limit: float,
-                 idle_fast_forward: bool = True,
                  sample_period_us: Optional[float] = None,
-                 xfer_mode: str = "eager", sharding: bool = False,
-                 workers: int = 1):
+                 xfer_mode: str = "eager"):
         self.nodes = nodes
         self.pingpong = pingpong
         self.bulk_bytes = bulk_bytes
         self.limit = limit
-        self.workers = workers
         self.violations: List[str] = []
-        if workers > 1 and not sharding:
-            raise ValueError("workers > 1 requires the sharded engine")
-        if workers > 1 and sample_period_us is not None:
-            raise ValueError(
-                "the gauge sampler reads machine-wide state and cannot run "
-                "inside shard workers; pass sample_period_us=None with "
-                "workers > 1")
-        if workers > 1 and plan is not None:
-            bad = sorted({r.kind for r in plan.rules}
-                         & _ADAPTER_SITE_KINDS)
-            if bad:
-                raise ValueError(
-                    f"fault kinds {bad} inject at the adapter (worker-side "
-                    f"code); only switch-site kinds (drop/corrupt/reorder/"
-                    f"duplicate) replay deterministically with workers > 1")
-        if sharding:
-            self.sim = ShardedSimulator(idle_fast_forward=idle_fast_forward,
-                                        workers=workers)
-        else:
-            self.sim = Simulator(idle_fast_forward=idle_fast_forward)
+        self.sim = Simulator()
         self.machine = build_sp_machine(self.sim, nodes)
         self.obs = Observatory().attach(self.machine)
         if sample_period_us is not None:
             # gauge sampler for critical-path reports; its timers run on
             # the unsequenced lane so the event-order digests don't see
-            # them, and the per-rank drain predicates below never consult
-            # the raw pending count, so live sampler timers can't stall
-            # quiescence either
+            # them, but as live entries they still defeat _quiesced's
+            # live_pending_count()==0 shortcut — the explicit per-layer
+            # drain checks below still decide quiescence correctly
             self.obs.start_sampler(period_us=sample_period_us)
         self.ams = attach_spam(self.machine, xfer_mode=xfer_mode)
         self.rts = attach_splitc(self.machine)
-        # pre-register the workload handlers (SPMD discipline): requests
-        # normally register handlers lazily at first send, but with shard
-        # workers a registration made inside one worker is invisible to
-        # the worker that must look the id up on receive
-        for h in (_h_ping, _h_pong, _h_done):
-            self.ams[0].register(h)
         self.injector = (install_faults(self.machine, plan)
                          if plan is not None else None)
+        self._finished = [0]
         # per-rank buffer addresses, decided up front so every rank knows
         # its peer's layout
         self.addrs: List[Dict[str, int]] = []
         for node in self.machine.nodes:
             node.soak_pings = {}
             node.soak_pongs = {}
-            node.soak_done_from = set()
-            node.soak_violations = []
             self.addrs.append({
                 "bulk_src": node.memory.alloc(bulk_bytes),
                 "bulk_dst": node.memory.alloc(bulk_bytes),
@@ -264,36 +210,42 @@ class _Campaign:
 
     # -- the per-rank program ------------------------------------------------
 
-    def _rank_quiet(self, rank: int) -> bool:
-        """Node-local drain predicate: nothing *on this rank* awaits
-        recovery.  Deliberately reads only rank-owned state (its endpoint,
-        its adapter, its windows), so it evaluates identically inside a
-        shard worker — the old global predicate walked every node and the
-        switch, which only the parent sequencer can see."""
-        am = self.ams[rank]
-        if am._active_sends or am._deferred_replies:
+    def _quiesced(self) -> bool:
+        """Global drain predicate: nothing anywhere awaits recovery."""
+        if self.sim.live_pending_count() == 0:
+            # nothing will ever run again: tombstoned keep-alive timers
+            # may still sit in the queue, but they represent no recovery
+            # work — the raw pending count would keep this drain loop
+            # spinning on a machine that can no longer change
+            return True
+        if self.machine.switch.in_flight > 0:
+            # the fabric still holds traffic no FIFO shows yet; a rank
+            # exiting its drain loop now would strand the arrival unread
             return False
-        if am._rdma_grants or am._deferred_cts or am._rdma_ack_due:
-            return False
-        adapter = am.adapter
-        if adapter.send_fifo.occupied > 0:
-            return False
-        rf = adapter.recv_fifo
-        visible = len(rf.visible)
-        if visible > 0:
-            return False
-        if rf.occupied != visible + rf.pending_pop:
-            return False  # a packet is mid-RX-DMA
-        # unacked/partial-assembly checks open-coded: this predicate
-        # runs on every idle poll, and the window properties just wrap
-        # these two fields
-        for peer in am._peers.values():
-            s_req, s_rep = peer.send
-            if s_req._saved or s_rep._saved:
+        for am in self.ams:
+            if am._active_sends or am._deferred_replies:
                 return False
-            r_req, r_rep = peer.recv
-            if r_req._assembly is not None or r_rep._assembly is not None:
+            if am._rdma_grants or am._deferred_cts or am._rdma_ack_due:
                 return False
+            adapter = am.adapter
+            if adapter.send_fifo.occupied > 0:
+                return False
+            rf = adapter.recv_fifo
+            visible = len(rf.visible)
+            if visible > 0:
+                return False
+            if rf.occupied != visible + rf.pending_pop:
+                return False  # a packet is mid-RX-DMA
+            # unacked/partial-assembly checks open-coded: this predicate
+            # runs on every idle poll, and the window properties just wrap
+            # these two fields
+            for peer in am._peers.values():
+                s_req, s_rep = peer.send
+                if s_req._saved or s_rep._saved:
+                    return False
+                r_req, r_rep = peer.recv
+                if r_req._assembly is not None or r_rep._assembly is not None:
+                    return False
         return True
 
     def _program(self, rank: int):
@@ -321,9 +273,7 @@ class _Campaign:
         total = yield from rt.allreduce_int(rank + 1)
         expect = self.nodes * (self.nodes + 1) // 2
         if total != expect:
-            # recorded node-locally: with shard workers this line runs in
-            # a worker process, and only per-node state ships back
-            node.soak_violations.append(
+            self.violations.append(
                 f"rank {rank}: allreduce returned {total}, expected {expect}")
         node.memory.write(self.addrs[rank]["sc_src"],
                           _pattern(rank + 100, _SPLITC_BYTES))
@@ -332,169 +282,81 @@ class _Campaign:
         yield from rt.sync()
         yield from rt.barrier()
 
-        # done-broadcast: announce this rank's phases are over.  The
-        # markers ride the same reliable AM channel as the workload, so a
-        # dropped marker is retransmitted like any other request.
-        for off in range(1, self.nodes):
-            yield from am.request_1((rank + off) % self.nodes, _h_done, rank)
-        node.soak_done_from.add(rank)
-
-        # drain: serve the network until every rank has announced done
-        # and this rank has been locally quiet — windows drained, FIFOs
-        # empty, not a single packet arrival — for a full grace window.
-        # Recovery traffic a peer still needs from this rank (NACK
-        # service, re-acks for retransmissions) interrupts the silence,
-        # so outlasting the keep-alive machinery's longest backoff means
-        # nobody needs this rank anymore.
-        rx = am.adapter._c_rx_packets
-        quiet_since = None
-        last_rx = rx.value
-        while True:
-            if (rx.value == last_rx
-                    and len(node.soak_done_from) == self.nodes
-                    and self._rank_quiet(rank)):
-                if quiet_since is None:
-                    quiet_since = self.sim.now
-                elif self.sim.now - quiet_since >= _DRAIN_GRACE_US:
-                    break
-            else:
-                quiet_since = None
-                last_rx = rx.value
+        # drain: serve the network until the whole machine is quiet (the
+        # keep-alive machinery inside _wait_progress keeps recovery going)
+        self._finished[0] += 1
+        while self._finished[0] < self.nodes or not self._quiesced():
             yield from am._wait_progress()
 
     # -- execution + checks ---------------------------------------------------
 
     def run(self) -> float:
-        self._fault_baseline = len(self.obs.fault_events)
-        if self.workers > 1:
-            self.sim.worker_finalize = self._finalize_span
-        procs = [self.sim.spawn(self._program(r), name=f"soak{r}", shard=r)
+        procs = [self.sim.spawn(self._program(r), name=f"soak{r}")
                  for r in range(self.nodes)]
         try:
             self.sim.run_until_processes_done(procs, limit=self.limit)
         except SimulationError as exc:
             # includes SimTimeoutError (unbounded recovery → deadlock)
-            # and worker-failure errors from the multiprocessing backend
             self.violations.append(f"{type(exc).__name__}: {exc}")
         except (ValueError, AssertionError) as exc:
             # window invariant violations (MidChunkAckError &c.) and
             # accounting assertions surface here
             self.violations.append(f"{type(exc).__name__}: {exc}")
-        self._collect_finalizers()
+        self._check_delivery()
+        self._check_final_state()
         return self.sim.now
 
-    # -- per-rank evidence (runs worker-side under ``workers > 1``) ----------
-
-    def _finalize_span(self, lo: int, hi: int) -> Dict:
-        """Everything the parent needs from ranks ``lo..hi-1``: the
-        delivery/final-state checks run *here*, against live node state
-        (the parent's copies go stale at fork), and node-owned counters
-        plus adapter-site fault events ship back for the merged ledgers."""
-        violations: List[str] = []
-        counters: Dict[str, float] = {}
-        for rank in range(lo, hi):
-            violations.extend(self.machine.nodes[rank].soak_violations)
-            violations.extend(self._check_rank(rank))
-            node = self.machine.nodes[rank]
-            for holder in (node, getattr(node, "adapter", None),
-                           node.am, getattr(node, "splitc", None)):
-                st = getattr(holder, "stats", None)
-                if st is not None:
-                    counters.update(st.snapshot())
-        return {
-            "lo": lo,
-            "hi": hi,
-            "violations": violations,
-            "counters": counters,
-            "fault_events": self.obs.fault_events[self._fault_baseline:],
-        }
-
-    def _collect_finalizers(self) -> None:
-        """Merge per-span evidence — worker payloads under ``workers >
-        1``, one parent-side span otherwise — into the campaign ledgers."""
-        if self.workers > 1:
-            payloads = getattr(self.sim, "worker_results", None)
-            if payloads is None:
-                # the run died before finalizers could ship (the error is
-                # already in self.violations); nothing to merge
-                self._span_counters = {}
-                return
-            payloads = sorted(payloads, key=lambda p: p["lo"])
-        else:
-            payloads = [self._finalize_span(0, self.nodes)]
-        merged_counters: Dict[str, float] = {}
-        for p in payloads:
-            self.violations.extend(p["violations"])
-            merged_counters.update(p["counters"])
-            if self.workers > 1:
-                # adapter-site events (CRC rejects of corrupted clones,
-                # their packet_dropped records) happened worker-side;
-                # fold them into the parent ledger for reconcile_faults
-                self.obs.fault_events.extend(p["fault_events"])
-        self._span_counters = merged_counters
-
-    def merged_counters(self) -> Dict[str, float]:
-        """The run's counter snapshot with worker-side registries folded
-        in (per-node keys are unique, so the overlay is exact)."""
-        counters = dict(self.obs.snapshot()["counters"])
-        counters.update(self._span_counters)
-        return counters
-
-    def _check_rank(self, rank: int) -> List[str]:
-        """Delivery + final-state checks that touch only ``rank``'s node.
-
-        Cross-node assertions are phrased from the writer's perspective
-        but *verified* on the node that owns the memory: checking rank
-        ``r`` validates the bulk store and Split-C put that ``r-1``
-        landed here, so the union over all ranks covers every transfer
-        with the same messages the old global walk produced.
-        """
-        out: List[str] = []
+    def _check_delivery(self) -> None:
         expect = list(range(self.pingpong))
-        node = self.machine.nodes[rank]
-        peer = (rank + 1) % self.nodes
-        prev = (rank - 1) % self.nodes
-        got = node.soak_pings.get(prev, [])
-        if got != expect:
-            out.append(
-                f"rank {rank}: pings from {prev} delivered as "
-                f"{_abbrev(got)}, expected 0..{self.pingpong - 1} "
-                f"exactly once in order")
-        got = node.soak_pongs.get(peer, [])
-        if got != expect:
-            out.append(
-                f"rank {rank}: pongs from {peer} delivered as "
-                f"{_abbrev(got)}, expected 0..{self.pingpong - 1} "
-                f"exactly once in order")
-        if node.memory.read(self.addrs[rank]["bulk_dst"],
-                            self.bulk_bytes) != _pattern(prev,
-                                                         self.bulk_bytes):
-            out.append(f"rank {prev}: bulk store to {rank} corrupted")
-        if node.memory.read(self.addrs[rank]["bulk_back"],
-                            self.bulk_bytes) != _pattern(rank,
-                                                         self.bulk_bytes):
-            out.append(f"rank {rank}: bulk get readback from {peer} corrupted")
-        if node.memory.read(self.addrs[rank]["sc_dst"],
-                            _SPLITC_BYTES) != _pattern(prev + 100,
-                                                       _SPLITC_BYTES):
-            out.append(f"rank {prev}: Split-C put_bulk to {rank} corrupted")
-        am = self.ams[rank]
-        for dst, peer_state in am._peers.items():
-            for ch, win in enumerate(peer_state.send):
-                if win.has_unacked:
-                    out.append(
-                        f"rank {rank}: send window to {dst} ch{ch} "
-                        f"still holds {win.in_flight} unacked packets")
-            for ch, rwin in enumerate(peer_state.recv):
-                if rwin.has_partial_assembly:
-                    out.append(
-                        f"rank {rank}: chunk from {dst} ch{ch} "
-                        f"never completed reassembly")
-        if am._active_sends:
-            out.append(
-                f"rank {rank}: {len(am._active_sends)} bulk ops "
-                f"never completed")
-        return out
+        for rank in range(self.nodes):
+            node = self.machine.nodes[rank]
+            peer = (rank + 1) % self.nodes
+            prev = (rank - 1) % self.nodes
+            got = node.soak_pings.get(prev, [])
+            if got != expect:
+                self.violations.append(
+                    f"rank {rank}: pings from {prev} delivered as "
+                    f"{_abbrev(got)}, expected 0..{self.pingpong - 1} "
+                    f"exactly once in order")
+            got = node.soak_pongs.get(peer, [])
+            if got != expect:
+                self.violations.append(
+                    f"rank {rank}: pongs from {peer} delivered as "
+                    f"{_abbrev(got)}, expected 0..{self.pingpong - 1} "
+                    f"exactly once in order")
+            want = _pattern(rank, self.bulk_bytes)
+            peer_mem = self.machine.nodes[peer].memory
+            if peer_mem.read(self.addrs[peer]["bulk_dst"],
+                             self.bulk_bytes) != want:
+                self.violations.append(
+                    f"rank {rank}: bulk store to {peer} corrupted")
+            if node.memory.read(self.addrs[rank]["bulk_back"],
+                                self.bulk_bytes) != want:
+                self.violations.append(
+                    f"rank {rank}: bulk get readback from {peer} corrupted")
+            sc_want = _pattern(rank + 100, _SPLITC_BYTES)
+            if peer_mem.read(self.addrs[peer]["sc_dst"],
+                             _SPLITC_BYTES) != sc_want:
+                self.violations.append(
+                    f"rank {rank}: Split-C put_bulk to {peer} corrupted")
+
+    def _check_final_state(self) -> None:
+        for rank, am in enumerate(self.ams):
+            for dst, peer in am._peers.items():
+                for ch, win in enumerate(peer.send):
+                    if win.has_unacked:
+                        self.violations.append(
+                            f"rank {rank}: send window to {dst} ch{ch} "
+                            f"still holds {win.in_flight} unacked packets")
+                for ch, rwin in enumerate(peer.recv):
+                    if rwin.has_partial_assembly:
+                        self.violations.append(
+                            f"rank {rank}: chunk from {dst} ch{ch} "
+                            f"never completed reassembly")
+            if am._active_sends:
+                self.violations.append(
+                    f"rank {rank}: {len(am._active_sends)} bulk ops "
+                    f"never completed")
 
     def reconcile_faults(self) -> None:
         """Every injected fault must be visible in the obs ledger."""
@@ -542,12 +404,6 @@ def _abbrev(seq: List[int], limit: int = 12) -> str:
 # entry point
 # ---------------------------------------------------------------------------
 
-#: sentinel: "sampler period not chosen by the caller" — resolves to
-#: 50 us sequentially and to None (sampler off) with ``workers > 1``,
-#: where the sampler's machine-wide gauge reads are unavailable
-_SAMPLE_DEFAULT = object()
-
-
 def run_soak(
     seed: int = 7,
     loss: float = 0.01,
@@ -558,12 +414,9 @@ def run_soak(
     plan: Optional[FaultPlan] = None,
     compare_clean: bool = True,
     limit: float = 5e7,
-    idle_fast_forward: bool = True,
     sim_check: Optional[object] = None,
-    sample_period_us: object = _SAMPLE_DEFAULT,
+    sample_period_us: Optional[float] = 50.0,
     xfer_mode: str = "eager",
-    sharding: bool = False,
-    workers: int = 1,
 ) -> SoakResult:
     """Run the soak workload under a fault plan; return the evidence.
 
@@ -571,27 +424,14 @@ def run_soak(
     :meth:`FaultPlan.chaos` (all six kinds) over :meth:`FaultPlan.loss`
     (uniform fabric drops) at rate ``loss`` with seed ``seed``.  With
     ``compare_clean`` the identical workload also runs fault-free to
-    bound recovery time.  ``idle_fast_forward`` and ``sim_check`` reach
-    the lossy campaign's engine — the perf suite uses them to compare
-    fast-forward on/off walls and event-order digests on this workload.
+    bound recovery time.  ``sim_check`` reaches the lossy campaign's
+    engine — the perf suite hangs its event-order digest recorder there.
     ``sample_period_us`` starts the periodic gauge sampler on the lossy
     campaign (default on at 50 us: the sampler's timers run on the
     unsequenced lane, so they no longer perturb the perf suite's
     event-order digests; pass ``None`` to disable).  ``xfer_mode``
     selects the AM large-message strategy for the bulk phase.
-    ``sharding`` runs the lossy campaign on the
-    :class:`~repro.sim.shard.ShardedSimulator` (one shard per node,
-    round barriers at the switch latency) — digest-identical to the
-    sequential engine by construction, and checked by the perf suite.
-    ``workers`` > 1 additionally executes the sharded campaign in that
-    many OS worker processes (implies ``sharding``); the result is still
-    bit-identical, but the gauge sampler must be off and the fault plan
-    restricted to switch-site kinds (drop/corrupt/reorder/duplicate).
     """
-    if workers > 1:
-        sharding = True
-    if sample_period_us is _SAMPLE_DEFAULT:
-        sample_period_us = None if workers > 1 else 50.0
     if plan is None:
         plan = (FaultPlan.chaos(seed, loss) if chaos
                 else FaultPlan.loss(seed, loss))
@@ -608,10 +448,8 @@ def run_soak(
                 "fault-free soak run failed: " + "; ".join(clean.violations))
 
     lossy = _Campaign(nodes, pingpong, bulk_bytes, plan=plan, limit=limit,
-                      idle_fast_forward=idle_fast_forward,
                       sample_period_us=sample_period_us,
-                      xfer_mode=xfer_mode, sharding=sharding,
-                      workers=workers)
+                      xfer_mode=xfer_mode)
     if sim_check is not None:
         lossy.sim.check = sim_check
     elapsed = lossy.run()
@@ -638,6 +476,6 @@ def run_soak(
         recovery_bound_us=recovery_bound,
         injected=injected, injected_counts=counts,
         violations=lossy.violations,
-        counters=_merge_counters(lossy.merged_counters()),
+        counters=_merge_counters(lossy.obs.snapshot()["counters"]),
         obs=lossy.obs,
     )

@@ -19,7 +19,6 @@ from typing import Callable, Dict, Optional
 from repro.hardware.packet import Packet
 from repro.hardware.params import SwitchParams
 from repro.sim import Simulator
-from repro.sim.shard import OP_CROSS
 from repro.sim.stats import StatRegistry
 
 
@@ -38,15 +37,8 @@ class Switch:
         # per-packet constants (SwitchParams is frozen, so never stale)
         self._latency = params.latency
         self._link_rate = params.link_rate
-        # cross-shard delivery seam, resolved once (hot path): on a
-        # ShardedSimulator this routes the event into the destination
-        # node's shard; the sequential engine ignores the shard id
-        self._post = sim.post_cross
-        self._sharded = sim.sharded
-        if self._sharded:
-            # the parallel (workers > 1) backend replays deferred
-            # injections through the machine's switch — register it
-            sim._switch = self
+        # delivery scheduler, resolved once (hot path)
+        self._at = sim.at
         #: observability hub (set by Observatory.attach; None = untraced)
         self.obs = None
         #: queue-wait histogram resolved once per hub (hot path)
@@ -86,15 +78,6 @@ class Switch:
         adapters = self._adapters
         if packet.dst not in adapters:
             raise KeyError(f"packet addressed to unattached node {packet.dst}")
-        if self._sharded and self.sim._op_log is not None:
-            # shard-worker mode: every fabric decision (fault RNG draw,
-            # destination-link queueing, observability accounting) must
-            # happen exactly once, in global packet order, on the parent
-            # sequencer's authoritative switch — defer the whole
-            # injection into the replay op stream
-            self.sim._op_log.append((OP_CROSS, wire_exit_time, packet))
-            self.sim._op_entries.append(None)
-            return
         self._c_packets_routed.value += 1
         if self.fault_injector is not None and self.fault_injector(packet):
             self.stats.count("packets_dropped_fault")
@@ -151,7 +134,7 @@ class Switch:
                 span.marks["sw_deliver"] = deliver_at
                 span.queued_us += queueing
         self.in_flight += 1
-        self._post(dst, deliver_at, self._hand_off, adapters[dst], packet)
+        self._at(deliver_at, self._hand_off, adapters[dst], packet)
         if duplicate is not None:
             # The fabric's stray copy trails the original by the rule's
             # delay, but it still occupies the destination link for its own
@@ -172,9 +155,8 @@ class Switch:
             if self.obs is not None:
                 self.link_busy_us[dup_dst] += wire_time
             self.in_flight += 1
-            self._post(dup_dst, dup_start + self._latency,
-                       self._hand_off, adapters[dup_dst],
-                       duplicate)
+            self._at(dup_start + self._latency, self._hand_off,
+                     adapters[dup_dst], duplicate)
 
     def _hand_off(self, adapter, packet: Packet) -> None:
         self.in_flight -= 1

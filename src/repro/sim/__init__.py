@@ -5,9 +5,9 @@ models are event-driven callbacks, and node software (Active Messages, MPL,
 Split-C, MPI, applications) runs as coroutine *processes* whose ``yield``\\ s
 advance a shared simulated clock measured in **microseconds**.
 
-The engine is deliberately small and deterministic: a binary-heap event
-queue with FIFO tie-breaking, generator-based processes, and ``Event``
-objects for signalling.  Identical inputs produce identical simulated
+The engine is deliberately small and deterministic: one timing-wheel
+event queue with FIFO tie-breaking, generator-based processes, and
+``Event`` objects for signalling.  Identical inputs produce identical simulated
 timelines, which the test suite asserts.
 
 Public surface::
@@ -23,14 +23,11 @@ from repro.sim.engine import Simulator
 from repro.sim.errors import DeadlockError, SimulationError, SimTimeoutError
 from repro.sim.primitives import TIMED_OUT, Delay, Event, Timeout, WaitEvent
 from repro.sim.process import Process
-from repro.sim.shard import Shard, ShardedSimulator
 from repro.sim.stats import Counter, StatRegistry, TimeSeries
 from repro.sim.tracing import TraceEvent, Tracer
 
 __all__ = [
     "Simulator",
-    "ShardedSimulator",
-    "Shard",
     "Process",
     "Event",
     "Delay",

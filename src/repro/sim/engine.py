@@ -7,22 +7,18 @@ deterministic.
 
 The paper's whole argument is that per-message *software* overhead is what
 limits communication performance (§3); the simulator applies the same
-creed to its own hot path.  Two schedulers implement one contract:
-
-* ``wheel`` (the default) — a timing-wheel fast lane for the dominant
-  µs-scale events (MicroChannel DMA steps, MSMU gaps, wire serialization):
-  the wheel's *active window* — the slot the clock currently turns through
-  — is one sorted list; events landing inside it are placed by
-  ``bisect.insort`` and consumed by advancing a cursor, so the common
-  schedule→run path is two C-level list operations with no heap traffic.
-  Far-future timers (keep-alive probes, second-scale protocol timeouts)
-  overflow into a heap that is consulted only when the window turns over;
-  draining it in heap order yields the next window already sorted.
-* ``heap`` — the original single binary heap, kept verbatim as the
-  differential-testing reference: both schedulers must execute the same
-  events in exactly the same order (``tests/sim/test_timer_wheel.py``
-  checks this property over randomized schedule/cancel sequences, and
-  ``spam-bench perf`` checks it over the real protocol workloads).
+creed to its own hot path.  The queue is a timing wheel with a fast lane
+for the dominant µs-scale events (MicroChannel DMA steps, MSMU gaps, wire
+serialization): the wheel's *active window* — the slot the clock
+currently turns through — is one sorted list; events landing inside it
+are placed by ``bisect.insort`` and consumed by advancing a cursor, so
+the common schedule→run path is two C-level list operations with no heap
+traffic.  Far-future timers (keep-alive probes, second-scale protocol
+timeouts) overflow into a heap that is consulted only when the window
+turns over; draining it in heap order yields the next window already
+sorted.  The test suite keeps a plain binary-heap scheduler
+(``tests/sim/reference.py``) as the differential reference: both must
+execute the same events in exactly the same order.
 
 Timers are cancellable: :meth:`Simulator.call_later` returns a
 :class:`TimerHandle` whose ``cancel()`` is O(1) — it bumps the handle's
@@ -31,18 +27,17 @@ tombstoned entries on pop without executing or counting them.  This is
 what keeps ``Timeout`` yields (the AM keep-alive backoff, MPL's
 second-scale receive timeouts) from churning the queue with stale wakeups.
 
-**Idle fast-forward** (on by default, ``idle_fast_forward=False`` for the
-reference path): because every blocking construct in the protocol stack is
-either an event wait or a cancellable timer, a quiesced instant — all
-runnable processes blocked on timers/events — leaves the queue front
-holding only tombstones and the next live entry.  The fast drain therefore
-(a) jumps the clock directly to the next live entry, consuming any run of
+**Idle fast-forward.** Because every blocking construct in the protocol
+stack is either an event wait or a cancellable timer, a quiesced instant —
+all runnable processes blocked on timers/events — leaves the queue front
+holding only tombstones and the next live entry.  The run loops therefore
+(a) jump the clock directly to the next live entry, consuming any run of
 tombstones in one bulk skip instead of one loop iteration each, and
-(b) batch-executes runs of same-timestamp events in a single dispatch
+(b) batch-execute runs of same-timestamp events in a single dispatch
 loop that settles the clock and the ``until``/``limit`` gates once per
 timestamp instead of once per event.  Both halves are order-preserving by
-construction — fast-forward on/off must produce byte-identical event-order
-digests (``spam-bench perf`` checks this on all four workloads).
+construction; the reference scheduler and the committed event-order
+digests in ``BENCH_simperf.json`` check it.
 """
 
 from __future__ import annotations
@@ -60,6 +55,16 @@ from repro.sim.primitives import Event
 #: after thousands of packets the sum can land an epsilon behind
 #: ``sim.now`` even though the intent is "deliver immediately".
 NEGATIVE_DELAY_EPSILON = 1e-9
+
+#: width (µs) of the wheel's active window.  Events within the window are
+#: ordered exactly by (time, insertion seq), so this is a throughput
+#: constant, never a correctness one.  128 us measured best-or-equal
+#: across the perf workloads: wide enough that the ~100-400 us protocol
+#: timers (retransmit backoff, keep-alive) are born in-window — where a
+#: later cancel costs one bulk-skipped tombstone instead of a
+#: heappush/heappop round trip — yet narrow enough that insort's memmove
+#: stays cheap on the dense microsecond-scale workloads.
+WHEEL_WINDOW_US = 128.0
 
 
 class TimerHandle:
@@ -109,11 +114,6 @@ class TimerHandle:
         ck = sim.check
         if ck is not None:
             ck.on_cancel(e)
-        hook = sim._cancel_hook
-        if hook is not None:
-            # multiprocessing shard workers log cancels so the parent
-            # sequencer can tombstone its mirror entry (repro.sim.parallel)
-            hook(e)
         return True
 
     def _fire(self, gen: int, fn: Callable[..., None], args: tuple) -> None:
@@ -154,50 +154,16 @@ class Simulator:
     while spawned processes are still blocked on events, a
     :class:`DeadlockError` is raised — silent hangs in protocol code become
     loud test failures.
-
-    :param scheduler: ``"wheel"`` (timing-wheel fast lane, the default) or
-        ``"heap"`` (pure binary heap, the differential-testing reference).
-        Both execute identical event orders.
-    :param wheel_window_us: width of the wheel's active window; events
-        within the window are ordered exactly by (time, insertion seq), so
-        this is a throughput knob only, never a correctness one.  The
-        128 us default measured best-or-equal across all four perf
-        workloads: wide enough that the ~100-400 us protocol timers
-        (retransmit backoff, keep-alive) are born in-window — where a
-        later cancel costs one bulk-skipped tombstone instead of a
-        heappush/heappop round trip — yet narrow enough that insort's
-        memmove stays cheap on the dense microsecond-scale workloads.
-    :param idle_fast_forward: default for the run loops' fast drain (bulk
-        tombstone skip + batched same-timestamp dispatch).  A throughput
-        knob only: on/off execute identical event orders (the wheel's
-        reference path and the heap scheduler ignore it).
     """
 
     __slots__ = (
-        "scheduler", "_wheel", "idle_fast_forward", "now", "_seq", "_useq",
+        "now", "_seq", "_useq",
         "_live_processes", "_blocked_processes", "_finish_stamp",
         "events_executed", "stale_events_skipped", "_stale_pending",
-        "_queue", "_window_us", "_window_end", "_cur_list", "_cur_idx",
-        "_far", "check", "last_event", "_cancel_hook",
+        "_window_end", "_cur_list", "_cur_idx", "_far", "check",
     )
 
-    #: True on :class:`~repro.sim.shard.ShardedSimulator`; hardware
-    #: builders consult this to wire per-node shards
-    sharded = False
-
-    def __init__(
-        self,
-        scheduler: str = "wheel",
-        wheel_window_us: float = 128.0,
-        idle_fast_forward: bool = True,
-    ) -> None:
-        if scheduler not in ("wheel", "heap"):
-            raise ValueError(f"unknown scheduler {scheduler!r}")
-        if wheel_window_us <= 0.0:
-            raise ValueError("wheel_window_us must be positive")
-        self.scheduler = scheduler
-        self._wheel = scheduler == "wheel"
-        self.idle_fast_forward = bool(idle_fast_forward)
+    def __init__(self) -> None:
         self.now: float = 0.0
         self._seq = 0
         #: separate (decrementing) sequence counter for *unsequenced*
@@ -219,20 +185,12 @@ class Simulator:
         self.stale_events_skipped = 0
         #: cancelled entries still buried in the queue
         self._stale_pending = 0
-        # -- heap scheduler state
-        self._queue: List[list] = []
-        # -- wheel scheduler state
-        self._window_us = wheel_window_us
-        self._window_end = wheel_window_us  # first window covers [0, W)
+        self._window_end = WHEEL_WINDOW_US  # first window covers [0, W)
         self._cur_list: List[list] = []  # sorted entries of active window
         self._cur_idx = 0                # consume cursor into _cur_list
         self._far: List[list] = []       # heap of entries past the window
         #: event-ordering checker (repro.check), None when unchecked
         self.check = None
-        #: worker-side cancel logger (repro.sim.parallel), None otherwise
-        self._cancel_hook = None
-        #: (when, seq, callback) of the event :meth:`step` last executed
-        self.last_event: Optional[tuple] = None
 
     # -- scheduling -------------------------------------------------------
 
@@ -249,15 +207,12 @@ class Simulator:
         self._seq += 1
         when = self.now + delay
         entry = [when, self._seq, fn, args]
-        if self._wheel:
-            if when < self._window_end:
-                # inside the active window: exact (time, seq) position
-                # past the consume cursor — two C-level list operations
-                insort(self._cur_list, entry, self._cur_idx)
-            else:
-                heappush(self._far, entry)
+        if when < self._window_end:
+            # inside the active window: exact (time, seq) position past
+            # the consume cursor — two C-level list operations
+            insort(self._cur_list, entry, self._cur_idx)
         else:
-            heappush(self._queue, entry)
+            heappush(self._far, entry)
         return entry
 
     def at(self, when: float, fn: Callable[..., None], *args: Any) -> list:
@@ -276,32 +231,11 @@ class Simulator:
         self._seq += 1
         when = self.now + delay
         entry = [when, self._seq, fn, args]
-        if self._wheel:
-            if when < self._window_end:
-                insort(self._cur_list, entry, self._cur_idx)
-            else:
-                heappush(self._far, entry)
+        if when < self._window_end:
+            insort(self._cur_list, entry, self._cur_idx)
         else:
-            heappush(self._queue, entry)
+            heappush(self._far, entry)
         return entry
-
-    def schedule_into(self, shard: int, delay: float,
-                      fn: Callable[..., None], *args: Any) -> list:
-        """Shard-aware :meth:`schedule`: the sequential engine has a single
-        event zone, so the shard id is accepted (for seam compatibility)
-        and ignored.  :class:`~repro.sim.shard.ShardedSimulator` overrides
-        this to place the entry in ``shard``'s local zone."""
-        return self.schedule(delay, fn, *args)
-
-    def post_cross(self, shard: int, when: float, fn: Callable[..., None],
-                   *args: Any) -> list:
-        """Shard-aware :meth:`at` — the cross-shard delivery seam used by
-        the switch.  Sequentially this *is* ``at`` (shard id ignored);
-        :class:`~repro.sim.shard.ShardedSimulator` overrides it to stamp
-        the entry's ``(when, seq)`` immediately but defer queue insertion
-        to the next round barrier, enforcing the conservative lookahead
-        bound (``when >= now + lookahead``)."""
-        return self.at(when, fn, *args)
 
     def call_later(self, delay: float, fn: Callable[..., None],
                    *args: Any) -> TimerHandle:
@@ -336,13 +270,10 @@ class Simulator:
         self._useq -= 1
         when = self.now + delay
         entry = [when, self._useq, fn, args]
-        if self._wheel:
-            if when < self._window_end:
-                insort(self._cur_list, entry, self._cur_idx)
-            else:
-                heappush(self._far, entry)
+        if when < self._window_end:
+            insort(self._cur_list, entry, self._cur_idx)
         else:
-            heappush(self._queue, entry)
+            heappush(self._far, entry)
         return entry
 
     def call_later_unsequenced(self, delay: float, fn: Callable[..., None],
@@ -377,7 +308,7 @@ class Simulator:
     # -- queue internals --------------------------------------------------
 
     def _advance(self) -> Optional[list]:
-        """Wheel: turn to the next window.  Points the cursor at the
+        """Turn the wheel to the next window.  Points the cursor at the
         globally next entry and returns it, or None when the queue is
         empty.  Does not consume and never executes anything, so it is
         safe to call as a peek."""
@@ -388,7 +319,7 @@ class Simulator:
             return None
         # next window starts at the earliest far timer; draining the heap
         # in pop order yields the next window's entries already sorted
-        w_end = far[0][0] + self._window_us
+        w_end = far[0][0] + WHEEL_WINDOW_US
         entries = [heappop(far)]
         while far and far[0][0] < w_end:
             entries.append(heappop(far))
@@ -397,68 +328,10 @@ class Simulator:
         self._cur_idx = 0
         return entries[0]
 
-    def _peek(self) -> Optional[list]:
-        """The next queue entry without consuming it (either scheduler)."""
-        if self._wheel:
-            return self._advance()
-        return self._queue[0] if self._queue else None
-
-    def _consume(self, entry: list) -> None:
-        """Remove the entry returned by :meth:`_peek` from the queue."""
-        if self._wheel:
-            self._cur_idx += 1
-        else:
-            heappop(self._queue)
-
-    def _next_live(self) -> Optional[list]:
-        """Position the queue at its next *live* entry and return it
-        without consuming it; None when the queue is empty.
-
-        Tombstoned (cancelled) entries in front of it are consumed here —
-        counted in ``stale_events_skipped``, reported to the checker,
-        never executed.  This is the single stale-entry-skip
-        implementation shared by :meth:`step`, :meth:`run`, and
-        :meth:`run_until_processes_done`; because the skip happens before
-        any ``until``/``limit`` gate, those gates only ever see entries
-        that will actually execute — a cancelled far-future keep-alive
-        timer can neither stop a bounded run early nor trip its time
-        limit.
-        """
-        check = self.check
-        if self._wheel:
-            while True:
-                i = self._cur_idx
-                cur = self._cur_list
-                if i >= len(cur):
-                    if self._advance() is None:
-                        return None
-                    continue  # cursor now points into the new window
-                entry = cur[i]
-                if entry[2] is not None:
-                    return entry
-                self._cur_idx = i + 1
-                self.stale_events_skipped += 1
-                self._stale_pending -= 1
-                if check is not None:
-                    check.on_stale(entry)
-        queue = self._queue
-        while queue:
-            entry = queue[0]
-            if entry[2] is not None:
-                return entry
-            heappop(queue)
-            self.stale_events_skipped += 1
-            self._stale_pending -= 1
-            if check is not None:
-                check.on_stale(entry)
-        return None
-
     def _pending_count(self) -> int:
         """Queued entries **including tombstones** (debug/repr).  Use
         :meth:`live_pending_count` for "how much will actually run"."""
-        if self._wheel:
-            return len(self._cur_list) - self._cur_idx + len(self._far)
-        return len(self._queue)
+        return len(self._cur_list) - self._cur_idx + len(self._far)
 
     def live_pending_count(self) -> int:
         """Queued entries that will actually execute — tombstoned
@@ -469,86 +342,34 @@ class Simulator:
 
     # -- running ----------------------------------------------------------
 
-    def spawn(self, gen, name: str = "",
-              shard: Optional[int] = None) -> "Process":  # noqa: F821
-        """Register a generator as a process starting at the current time.
-
-        ``shard`` pins the process's events to one node's shard zone on a
-        :class:`~repro.sim.shard.ShardedSimulator`; the sequential engine
-        accepts and ignores it, so workloads can pass node ids
-        unconditionally.
-        """
+    def spawn(self, gen, name: str = "") -> "Process":  # noqa: F821
+        """Register a generator as a process starting at the current time."""
         from repro.sim.process import Process
 
-        return Process(self, gen, name=name, shard=shard)
-
-    def step(self) -> bool:
-        """Execute one live event.  Returns False when the queue is empty.
-
-        Tombstoned (cancelled) entries are discarded without executing;
-        they neither count as the step nor appear in ``last_event``.
-        """
-        entry = self._next_live()
-        if entry is None:
-            return False
-        self._consume(entry)
-        fn = entry[2]
-        self.now = entry[0]
-        self.events_executed += 1
-        check = self.check
-        if check is not None:
-            check.on_execute(entry)
-        #: (when, seq, callback) of the event just executed — feeds
-        #: the event-order digests of the differential tests
-        self.last_event = (entry[0], entry[1], fn)
-        fn(*entry[3])
-        return True
+        return Process(self, gen, name=name)
 
     def run(
         self,
         until: Optional[float] = None,
         max_events: Optional[int] = None,
         check_deadlock: bool = True,
-        idle_fast_forward: Optional[bool] = None,
     ) -> float:
         """Drain the event queue.
 
         :param until: stop once simulated time would pass this point; events
-            at exactly ``until`` still execute.
+            at exactly ``until`` still execute.  Must not lie before
+            ``now``: the clock never runs backwards.
         :param max_events: safety valve against runaway protocol loops.
         :param check_deadlock: raise :class:`DeadlockError` if the queue
             drains while processes remain blocked on events.
-        :param idle_fast_forward: override the simulator-wide default for
-            this run; the fast drain and the reference path execute
-            identical event orders.
         :returns: the final simulated time.
         """
-        ff = (self.idle_fast_forward if idle_fast_forward is None
-              else idle_fast_forward)
-        if ff and self._wheel:
-            if not self._drain_fast(until, max_events):
-                return self.now  # stopped at `until`
-        else:
-            executed = 0
-            while True:
-                entry = self._next_live()
-                if entry is None:
-                    break
-                when = entry[0]
-                if until is not None and when > until:
-                    self.now = until
-                    return self.now
-                if max_events is not None and executed >= max_events:
-                    raise SimTimeoutError(
-                        f"exceeded max_events={max_events} at t={self.now:.3f}us"
-                    )
-                self._consume(entry)
-                self.now = when
-                self.events_executed += 1
-                executed += 1
-                if self.check is not None:
-                    self.check.on_execute(entry)
-                entry[2](*entry[3])
+        if until is not None and until < self.now:
+            raise ValueError(
+                f"run(until={until}) lies before the current time "
+                f"t={self.now}us")
+        if not self._drain(until, max_events):
+            return self.now  # stopped at `until`
         if check_deadlock and self._blocked_processes > 0:
             raise DeadlockError(
                 f"event queue drained at t={self.now:.3f}us with "
@@ -556,17 +377,19 @@ class Simulator:
             )
         return self.now
 
-    def _drain_fast(self, until: Optional[float],
-                    max_events: Optional[int]) -> bool:
-        """Idle-fast-forward drain (wheel scheduler): returns True when the
-        queue is empty, False when stopped at ``until``.
+    def _drain(self, until: Optional[float],
+               max_events: Optional[int]) -> bool:
+        """The body of :meth:`run`: returns True when the queue is empty,
+        False when stopped at ``until``.
 
         The loop positions on the next live entry — consuming any run of
         tombstones in one bulk skip — then batch-executes every live entry
         sharing that timestamp: the clock store and the ``until`` compare
         happen once per timestamp, and each dispatch re-reads the entry's
         callback slot so a cancel() issued earlier in the batch is still
-        honoured (see :class:`TimerHandle`).
+        honoured (see :class:`TimerHandle`).  Because the skip happens
+        before any gate, ``until``/``max_events`` only ever see entries
+        that will actually execute.
         """
         check = self.check
         event_cap = float("inf") if max_events is None else max_events
@@ -604,7 +427,7 @@ class Simulator:
                     return False
                 self.now = when
                 # Batched same-timestamp dispatch.  Callbacks never consume
-                # events (no reentrant step/run in this codebase), so the
+                # events (no reentrant run in this codebase), so the
                 # cursor needs writing, not re-reading, per dispatch.  The
                 # unchecked/uncapped variant drops two per-dispatch
                 # branches — this loop body is the per-event floor of the
@@ -649,7 +472,6 @@ class Simulator:
 
     def run_until_processes_done(
         self, procs, limit: float = 1e12, max_events: Optional[int] = None,
-        idle_fast_forward: Optional[bool] = None,
     ) -> float:
         """Run until every process in ``procs`` has finished.
 
@@ -657,57 +479,16 @@ class Simulator:
         service loops) may still have pending events when the measured
         programs complete.  ``limit`` bounds *live* simulated work — a
         cancelled timer beyond the limit is discarded, not misreported
-        as a timeout.
+        as a timeout.  Same batching as :meth:`_drain`, plus the
+        finish-stamp compare before every dispatch: a process finishing
+        mid-batch stops the run at exactly that event.
         """
-        ff = (self.idle_fast_forward if idle_fast_forward is None
-              else idle_fast_forward)
-        if ff and self._wheel:
-            return self._drain_procs_fast(procs, limit, max_events)
-        executed = 0
-        # re-check "all done?" only when a process actually finished —
-        # the stamp compare is one int per event instead of a scan
-        seen_stamp = -1
-        while True:
-            if seen_stamp != self._finish_stamp:
-                seen_stamp = self._finish_stamp
-                if all(p.finished for p in procs):
-                    return self.now
-            entry = self._next_live()
-            if entry is None:
-                break
-            if entry[0] > limit:
-                raise SimTimeoutError(
-                    f"simulated time limit {limit}us exceeded; "
-                    f"{sum(not p.finished for p in procs)} process(es) unfinished"
-                )
-            if max_events is not None and executed >= max_events:
-                raise SimTimeoutError(f"exceeded max_events={max_events}")
-            self._consume(entry)
-            self.now = entry[0]
-            self.events_executed += 1
-            executed += 1
-            if self.check is not None:
-                self.check.on_execute(entry)
-            entry[2](*entry[3])
-        unfinished = [p for p in procs if not p.finished]
-        if unfinished:
-            raise DeadlockError(
-                f"queue drained at t={self.now:.3f}us; unfinished: "
-                + ", ".join(p.name or "<anon>" for p in unfinished)
-            )
-        return self.now
-
-    def _drain_procs_fast(self, procs, limit: float,
-                          max_events: Optional[int]) -> float:
-        """Idle-fast-forward body of :meth:`run_until_processes_done`
-        (wheel scheduler).  Same batching as :meth:`_drain_fast`, plus the
-        finish-stamp compare before every dispatch — a process finishing
-        mid-batch stops the run at exactly the event the reference path
-        would stop at."""
         check = self.check
         event_cap = float("inf") if max_events is None else max_events
         plain = check is None and max_events is None
         executed = 0
+        # re-check "all done?" only when a process actually finished —
+        # the stamp compare is one int per event instead of a scan
         seen_stamp = -1
         try:
             while True:
@@ -746,8 +527,7 @@ class Simulator:
                     )
                 self.now = when
                 # batched same-timestamp dispatch (cursor discipline and
-                # unchecked/uncapped specialization as in
-                # :meth:`_drain_fast`)
+                # unchecked/uncapped specialization as in :meth:`_drain`)
                 if plain:
                     while True:
                         self._cur_idx = i = i + 1
@@ -797,7 +577,7 @@ class Simulator:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"Simulator(t={self.now:.3f}us, {self.scheduler}, "
+            f"Simulator(t={self.now:.3f}us, "
             f"queued={self._pending_count()} "
             f"({self.live_pending_count()} live), "
             f"live={self._live_processes}, blocked={self._blocked_processes})"

@@ -1,23 +1,30 @@
-"""Smoke the ``spam-bench perf`` suite on tiny workloads.
+"""Smoke the ``spam-bench perf`` suite and its golden-digest gate.
 
 Full-size numbers live in the committed ``BENCH_simperf.json``; here we
-only prove the machinery: workloads run on both schedulers, the
-differential digests agree, the report validates against the
-``spam-bench/1`` schema, and the regression gate passes against itself
-and trips on a doctored ratio.
+prove the machinery: the workloads run, the report validates against the
+``spam-bench/1`` schema, and the gate passes on the committed digests
+and trips on any one of them altered.
 """
 
 import copy
+import json
+from pathlib import Path
+
+import pytest
 
 from repro.bench.benchjson import make_report
 from repro.bench.perf import (
-    PRE_PR_BASELINE,
+    DIGEST_FIELDS,
+    DIGEST_SIZES,
+    WORKLOADS,
     check_regression,
     report_entries,
     run_determinism,
     run_perf,
 )
 from repro.obs.schema import validate_bench_report
+
+COMMITTED = Path(__file__).resolve().parents[2] / "BENCH_simperf.json"
 
 _TINY_SIZES = {
     "pingpong": (60,),
@@ -29,120 +36,77 @@ _TINY_DIGESTS = {
     "pingpong": (40,),
     "bulk": (8_192, 1),
     "alltoall": (3, 2_048, 1),
-}
-_TINY_PARALLEL = {
-    "pingpong": (40,),
-    "bulk": (8_192, 1),
-    "soak": (6,),
+    "soak": (4,),
 }
 
 
-def _tiny_run():
+@pytest.fixture(scope="module")
+def tiny_run():
     return run_perf(quick=True, repeat=1, sizes=_TINY_SIZES,
-                    digest_sizes=_TINY_DIGESTS,
-                    parallel_digest_sizes=_TINY_PARALLEL)
+                    digest_sizes=_TINY_DIGESTS)
+
+
+@pytest.fixture(scope="module")
+def committed():
+    return json.loads(COMMITTED.read_text())
 
 
 class TestSuite:
-    def test_suite_runs_and_report_validates(self):
-        data = _tiny_run()
-        for name in ("pingpong", "bulk", "alltoall", "soak"):
-            w = data["workloads"][name]["wheel"]
+    def test_suite_runs_and_report_validates(self, tiny_run):
+        for name in WORKLOADS:
+            w = tiny_run["workloads"][name]
             assert w["events"] > 0
             assert w["adj_eps"] > 0
             assert w["sim_us"] > 0
-        for name in ("pingpong", "bulk", "alltoall"):
-            per = data["workloads"][name]
-            assert per["heap"]["sim_us"] == per["wheel"]["sim_us"]
-            assert per["ratio_wheel_over_heap"] > 0
-        assert data["determinism"]["identical"]
-        assert set(PRE_PR_BASELINE) == {"pingpong", "bulk", "alltoall",
-                                        "soak"}
-        report = make_report("simperf", report_entries(data), extra=data)
+            d = tiny_run["determinism"][name]
+            assert len(d["digest"]) == 32
+            assert d["events"] > 0
+        report = make_report("simperf", report_entries(tiny_run),
+                             extra=tiny_run)
         assert validate_bench_report(report) == []
 
-    def test_regression_gate_self_and_doctored(self):
-        data = _tiny_run()
-        assert check_regression(data, data) == []
-        doctored = copy.deepcopy(data)
-        doctored["workloads"]["pingpong"]["ratio_wheel_over_heap"] *= 2.0
-        problems = check_regression(data, doctored)
-        assert problems and "pingpong" in problems[0]
+    def test_regression_gate_self_and_doctored(self, tiny_run):
+        assert check_regression(tiny_run, tiny_run) == []
+        doctored = copy.deepcopy(tiny_run)
+        doctored["determinism"]["pingpong"]["digest"] = "0" * 32
+        problems = check_regression(tiny_run, doctored)
+        assert len(problems) == 1 and "pingpong: digest" in problems[0]
 
-    def test_regression_gate_flags_determinism_mismatch(self):
-        data = _tiny_run()
-        broken = copy.deepcopy(data)
-        broken["determinism"]["identical"] = False
-        problems = check_regression(broken, data)
-        assert any("digest" in p for p in problems)
+    def test_regression_gate_flags_determinism_mismatch(self, tiny_run):
+        for key in DIGEST_FIELDS:
+            broken = copy.deepcopy(tiny_run)
+            broken["determinism"]["soak"][key] = 1
+            problems = check_regression(broken, tiny_run)
+            assert problems and f"soak: {key}" in problems[0], key
+        missing = copy.deepcopy(tiny_run)
+        del missing["determinism"]["bulk"]
+        assert any("bulk" in p for p in check_regression(missing, tiny_run))
 
-    def test_suite_covers_workers_backend(self):
-        data = _tiny_run()
-        dw = data["determinism_workers"]
-        assert dw["identical"], dw
-        for name in ("pingpong", "bulk", "soak"):
-            assert dw[name]["identical"], (name, dw[name])
-        assert data["cpus"] >= 1
-
-    def test_regression_gate_flags_workers_digest_mismatch(self):
-        data = _tiny_run()
-        broken = copy.deepcopy(data)
-        broken["determinism_workers"]["identical"] = False
-        problems = check_regression(broken, data)
-        assert any("worker-backend" in p for p in problems)
+    def test_gate_refuses_a_different_xfer_mode(self, tiny_run):
+        other = dict(tiny_run, xfer_mode="rendezvous")
+        problems = check_regression(other, tiny_run)
+        assert problems and "xfer_mode" in problems[0]
 
 
-class TestWorkersRatioGate:
-    """The workers speedup columns gate only when the committed report
-    shows a real gain AND this runner has the cores to reproduce it."""
-
-    @staticmethod
-    def _scaling(ratio):
-        base = {"nodes": 64, "iterations": 4,
-                "sequential": {"adj_eps": 1.0},
-                "sharded": {"adj_eps": 1.0},
-                "ratio_sharded_over_sequential": 1.0,
-                "workers": {"2": {"adj_eps": ratio,
-                                  "ratio_workers_over_sharded": ratio,
-                                  "identical": True}},
-                "identical": True}
-        return {"64": base, "identical": True}
-
-    def _reports(self, committed_ratio, current_ratio):
-        skeleton = {"workloads": {n: {"ratio_wheel_over_heap": 1.0}
-                                  for n in ("pingpong", "bulk",
-                                            "alltoall")},
-                    "determinism": {"identical": True}}
-        cur = {**copy.deepcopy(skeleton),
-               "scaling": self._scaling(current_ratio)}
-        ref = {**copy.deepcopy(skeleton),
-               "scaling": self._scaling(committed_ratio)}
-        return cur, ref
-
-    def test_collapsed_speedup_trips_when_cores_exist(self, monkeypatch):
-        import repro.bench.perf as perf
-        monkeypatch.setattr(perf.os, "cpu_count", lambda: 8)
-        cur, ref = self._reports(2.0, 1.0)
-        problems = check_regression(cur, ref)
-        assert any("worker backend regression" in p for p in problems)
-
-    def test_no_gate_without_the_cores(self, monkeypatch):
-        import repro.bench.perf as perf
-        monkeypatch.setattr(perf.os, "cpu_count", lambda: 1)
-        cur, ref = self._reports(2.0, 0.2)
-        assert check_regression(cur, ref) == []
-
-    def test_honest_sub_one_committed_ratio_is_not_a_target(self,
-                                                            monkeypatch):
-        import repro.bench.perf as perf
-        monkeypatch.setattr(perf.os, "cpu_count", lambda: 8)
-        cur, ref = self._reports(0.2, 0.1)
-        assert check_regression(cur, ref) == []
+def test_committed_digests_gate_the_current_engine(committed):
+    # the committed file's determinism section is a set of golden
+    # constants: this tree must reproduce them exactly, and altering any
+    # single committed digest must fail the gate
+    assert set(committed["determinism"]) == set(WORKLOADS)
+    current = {"xfer_mode": committed["xfer_mode"],
+               "determinism": run_determinism(DIGEST_SIZES)}
+    assert check_regression(current, committed) == []
+    for name in WORKLOADS:
+        altered = copy.deepcopy(committed)
+        altered["determinism"][name]["digest"] = "f" * 32
+        problems = check_regression(current, altered)
+        assert len(problems) == 1 and problems[0].startswith(name), problems
 
 
 def test_determinism_digests_are_stable_within_scheduler():
-    # same scheduler, same workload -> same digest (the digest itself is
-    # deterministic, so a wheel/heap match is meaningful)
+    # same workload, same sizes -> same digest: the digest is a pure
+    # function of the event order, so a committed one is meaningful
     a = run_determinism({"pingpong": (30,)})
     b = run_determinism({"pingpong": (30,)})
-    assert a["pingpong"]["wheel_digest"] == b["pingpong"]["wheel_digest"]
+    assert a == b
+    assert set(a) == {"pingpong"}

@@ -54,60 +54,6 @@ class TestRunCampaign:
         assert set(r.checks) == {"sched"}
 
 
-class TestWorkersBackend:
-    """workers=P campaigns must reach the same verdict, counts, and
-    delivery digest as every sequential engine (satellite of the
-    multiprocessing-shard-workers PR)."""
-
-    _FIELDS = ("violations", "checks", "delivered_units", "digest",
-               "elapsed_us", "aborted")
-
-    def test_workers_campaign_matches_sequential(self):
-        ref = run_campaign(2, nodes=4, nops=10)
-        w = run_campaign(2, nodes=4, nops=10, workers=2)
-        assert w.ok, w.violations
-        for f in self._FIELDS:
-            assert getattr(w, f) == getattr(ref, f), f
-
-    def test_lossy_workers_campaign_matches_sharded(self):
-        ref = run_campaign(3, nodes=4, nops=10, loss=0.01, sharding=True)
-        w = run_campaign(3, nodes=4, nops=10, loss=0.01, workers=4)
-        assert w.ok, w.violations
-        for f in self._FIELDS:
-            assert getattr(w, f) == getattr(ref, f), f
-
-    def test_worker_side_failure_aborts_with_cause(self):
-        # a raising op inside a worker must surface as a clean abort
-        # naming the cause, not a deadlocked barrier
-        ops = generate_ops(4, nodes=4, nops=6) + [VIOLATE]
-        r = run_campaign(4, nodes=4, op_list=ops, workers=2)
-        assert not r.ok and r.aborted
-        assert any("overlapping free" in v for v in r.violations)
-
-    def test_worker_complaints_ship_to_parent(self):
-        from repro.check.campaign import _CheckCampaign
-        ops = generate_ops(5, nodes=4, nops=4)
-        camp = _CheckCampaign(5, 4, ops, 0.0, True, 5e7, None,
-                              xfer_mode="eager", sharding=True, workers=2)
-        orig = camp._run_op
-
-        def noisy(i, op, w):
-            if i == 0:
-                camp._complain(w, i, "synthetic complaint")
-            yield from orig(i, op, w)
-
-        camp._run_op = noisy
-        camp.run()
-        assert sum("synthetic complaint" in v
-                   for v in camp.violations) == 4
-
-    def test_workers_require_sharding(self):
-        from repro.check.campaign import _CheckCampaign
-        with pytest.raises(ValueError):
-            _CheckCampaign(1, 4, [], 0.0, True, 5e7, None,
-                           xfer_mode="eager", sharding=False, workers=2)
-
-
 class TestShrink:
     def test_clean_campaign_does_not_reproduce(self):
         s = shrink_failure(1, nodes=4, nops=6)

@@ -75,6 +75,24 @@ def test_run_until_stops_before_future_events():
     assert seen == [5, 15]
 
 
+def test_run_until_in_the_past_is_rejected():
+    # regression: run(until=t) with t < now used to rewind the clock, so
+    # the next schedule(1.0, ...) landed at t + 1, before events already run
+    sim = Simulator()
+    sim.schedule(15.0, lambda: None)
+    sim.run(until=20.0)
+    assert sim.now == 15.0
+    with pytest.raises(ValueError):
+        sim.run(until=5.0)
+    assert sim.now == 15.0
+    seen = []
+    sim.schedule(1.0, lambda: seen.append(sim.now))
+    sim.run(until=15.0)  # until == now is a no-op, not an error
+    assert sim.now == 15.0 and seen == []
+    sim.run()
+    assert seen == [16.0]
+
+
 def test_run_until_inclusive_boundary():
     sim = Simulator()
     seen = []

@@ -1,9 +1,10 @@
 """Differential + cancellation tests for the timing-wheel event core.
 
-The ``wheel`` scheduler is pure optimization: it must execute exactly
-the events the reference ``heap`` scheduler executes, at the same
-simulated times, in the same order — including under cancellation and
-with events landing on, inside, and far beyond the active window.
+The timing wheel and its fast drain are pure optimization: the engine
+must execute exactly the events the binary-heap reference scheduler
+(``tests/sim/reference.py``) executes, at the same simulated times, in
+the same order — including under cancellation and with events landing
+on, inside, and far beyond the active window.
 """
 
 import random
@@ -12,30 +13,65 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Simulator
-from repro.sim.engine import NEGATIVE_DELAY_EPSILON, TimerHandle
+from repro.sim import Simulator, engine
+from repro.sim.engine import (
+    NEGATIVE_DELAY_EPSILON,
+    WHEEL_WINDOW_US,
+    TimerHandle,
+)
 from repro.sim.errors import DeadlockError
 from repro.sim.primitives import TIMED_OUT, Delay, Timeout
+from tests.sim.reference import ReferenceSimulator
+
+#: the engine under test and its reference, by the scheduler they run
+ENGINES = {"wheel": Simulator, "heap": ReferenceSimulator}
 
 
 # ---------------------------------------------------------------------------
 # differential property: wheel == heap over randomized schedule/cancel
 # ---------------------------------------------------------------------------
 
-# delays straddle the default 64 us window: sub-window, exactly on the
-# boundary, just past it, and far beyond
-_DELAY_MENU = (0.0, 0.13, 1.0, 7.5, 63.9, 64.0, 64.1, 200.0, 5_000.0)
+# delays straddle the 128 us window: sub-window, exactly on the boundary,
+# just past it, several windows out, and far beyond
+_W = WHEEL_WINDOW_US
+_DELAY_MENU = (0.0, 0.13, 1.0, 7.5, _W - 0.1, _W, _W + 0.1, 3.5 * _W,
+               40 * _W)
 
 
-def _run_random_workload(scheduler, seed, window_us=64.0, spawn_cap=2_000,
-                         idle_fast_forward=True):
+class _TurnoverProbe:
+    """Counts the wheel's window turnovers and far-heap pushes, so the
+    differential tests can assert they exercised both."""
+
+    def __init__(self, monkeypatch):
+        self.turnovers = 0
+        self.far_pushes = 0
+        advance = Simulator._advance
+        schedule = Simulator.schedule
+
+        def counting_advance(sim):
+            before = sim._cur_list
+            entry = advance(sim)
+            if sim._cur_list is not before:
+                self.turnovers += 1
+            return entry
+
+        def counting_schedule(sim, delay, fn, *args):
+            far = len(sim._far)
+            entry = schedule(sim, delay, fn, *args)
+            self.far_pushes += len(sim._far) > far
+            return entry
+
+        monkeypatch.setattr(Simulator, "_advance", counting_advance)
+        monkeypatch.setattr(Simulator, "schedule", counting_schedule)
+
+
+def _run_random_workload(engine_cls, seed, spawn_cap=2_000):
     """Self-similar random workload: callbacks schedule more callbacks
     and randomly cancel pending timers.  Decisions are drawn from a
     seeded RNG in execution order, so two schedulers draw identical
     decisions iff they execute identical event orders — any divergence
     snowballs into a log mismatch."""
-    sim = Simulator(scheduler=scheduler, wheel_window_us=window_us,
-                    idle_fast_forward=idle_fast_forward)
+    sim = engine_cls()
     rng = random.Random(seed)
     log = []
     handles = []
@@ -62,59 +98,65 @@ def _run_random_workload(scheduler, seed, window_us=64.0, spawn_cap=2_000,
 
 
 @pytest.mark.parametrize("seed", [1, 7, 42, 1234])
-def test_wheel_matches_heap_on_random_schedule_cancel(seed):
-    heap_sim, heap_log = _run_random_workload("heap", seed)
-    wheel_sim, wheel_log = _run_random_workload("wheel", seed)
+def test_wheel_matches_heap_on_random_schedule_cancel(seed, monkeypatch):
+    heap_sim, heap_log = _run_random_workload(ReferenceSimulator, seed)
+    probe = _TurnoverProbe(monkeypatch)
+    wheel_sim, wheel_log = _run_random_workload(Simulator, seed)
     assert wheel_log == heap_log
     assert wheel_sim.now == heap_sim.now
     assert wheel_sim.events_executed == heap_sim.events_executed
     assert wheel_sim.stale_events_skipped == heap_sim.stale_events_skipped
+    # the workload crossed many windows and parked timers in the far heap
+    assert probe.turnovers > 10
+    assert probe.far_pushes > 30
 
 
 @pytest.mark.parametrize("window_us", [0.5, 1.0, 16.0, 64.0, 1e9])
-def test_wheel_window_width_is_not_a_correctness_knob(window_us):
+def test_wheel_window_width_is_not_a_correctness_knob(window_us,
+                                                      monkeypatch):
     # any window width must give the heap's exact execution order
-    _, heap_log = _run_random_workload("heap", 99)
-    _, wheel_log = _run_random_workload("wheel", 99, window_us=window_us)
+    _, heap_log = _run_random_workload(ReferenceSimulator, 99)
+    monkeypatch.setattr(engine, "WHEEL_WINDOW_US", window_us)
+    _, wheel_log = _run_random_workload(Simulator, 99)
     assert wheel_log == heap_log
 
 
 def test_same_time_events_run_in_insertion_order_across_window_refills():
     # events at one instant, scheduled before and after a window turn,
     # must still run in global insertion order
-    sim = Simulator(scheduler="wheel", wheel_window_us=10.0)
+    sim = Simulator()
     log = []
-    sim.schedule(500.0, log.append, "first")
-    sim.schedule(500.0, log.append, "second")
-    sim.schedule(200.0, lambda: sim.schedule(300.0, log.append, "third"))
+    sim.schedule(5 * _W, log.append, "first")
+    sim.schedule(5 * _W, log.append, "second")
+    sim.schedule(2 * _W, lambda: sim.schedule(3 * _W, log.append, "third"))
     sim.run()
     assert log == ["first", "second", "third"]
-    assert sim.now == 500.0
+    assert sim.now == 5 * _W
 
 
 # ---------------------------------------------------------------------------
 # idle fast-forward: pure optimization, must be behaviour-invisible
 # ---------------------------------------------------------------------------
 
-def _run_random_timeout_workload(scheduler, seed, idle_fast_forward=True):
+def _run_random_timeout_workload(engine_cls, seed):
     """Processes racing events against timeouts.  Every event win leaves a
     cancelled timer tombstone in the queue, and every gap between firings
     is an idle stretch the fast-forward path may jump — exactly the state
     it must cross without executing, reordering, or dropping anything."""
-    sim = Simulator(scheduler=scheduler, idle_fast_forward=idle_fast_forward)
+    sim = engine_cls()
     rng = random.Random(seed)
     log = []
 
     def waiter(i):
         ev = sim.event(f"ev{i}")
-        fire_at = rng.random() * 400.0
-        timeout = 1e-9 + rng.random() * 400.0
+        fire_at = rng.random() * 4 * _W
+        timeout = 1e-9 + rng.random() * 4 * _W
         if rng.random() < 0.6:
             sim.schedule(fire_at, ev.succeed, i)
         value = yield Timeout(ev, timeout)
         log.append((sim.now, i, value is TIMED_OUT))
         # long tail delays leave genuinely idle gaps between survivors
-        yield Delay(rng.choice((0.0, 3.0, 750.0, 12_000.0)))
+        yield Delay(rng.choice((0.0, 3.0, 6 * _W, 100 * _W)))
         log.append((sim.now, i, "done"))
 
     procs = [sim.spawn(waiter(i), name=f"w{i}") for i in range(25)]
@@ -132,29 +174,25 @@ def _assert_runs_identical(a, b):
 
 
 class TestIdleFastForwardEquivalence:
-    """Property: fast-forward on vs off is observation-identical — same
-    execution log (the event-order digest of these workloads), same final
-    clock, same executed/stale counts."""
+    """Property: the engine's fast drain (bulk tombstone skip, batched
+    same-timestamp dispatch) is observation-identical to the
+    one-event-at-a-time reference — same execution log (the event-order
+    digest of these workloads), same final clock, same executed/stale
+    counts."""
 
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1),
-           window_us=st.sampled_from([0.5, 16.0, 64.0, 1e9]))
-    def test_random_schedule_cancel(self, seed, window_us):
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_schedule_cancel(self, seed):
         _assert_runs_identical(
-            _run_random_workload("wheel", seed, window_us=window_us,
-                                 spawn_cap=400),
-            _run_random_workload("wheel", seed, window_us=window_us,
-                                 spawn_cap=400, idle_fast_forward=False))
+            _run_random_workload(Simulator, seed, spawn_cap=400),
+            _run_random_workload(ReferenceSimulator, seed, spawn_cap=400))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_timeout_races(self, seed):
-        on = _run_random_timeout_workload("wheel", seed)
         _assert_runs_identical(
-            on, _run_random_timeout_workload("wheel", seed,
-                                             idle_fast_forward=False))
-        # and both must match the reference heap scheduler
-        _assert_runs_identical(on, _run_random_timeout_workload("heap", seed))
+            _run_random_timeout_workload(Simulator, seed),
+            _run_random_timeout_workload(ReferenceSimulator, seed))
 
 
 def test_live_pending_count_excludes_tombstones():
@@ -176,15 +214,12 @@ def test_live_pending_count_excludes_tombstones():
 # loops must re-read the callback slot, not capture it at batch start)
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("idle_fast_forward", [True, False])
 @pytest.mark.parametrize("scheduler", ["wheel", "heap"])
 class TestSameInstantCancelRace:
-    def test_cancel_of_later_same_instant_entry_never_fires(
-            self, scheduler, idle_fast_forward):
+    def test_cancel_of_later_same_instant_entry_never_fires(self, scheduler):
         # the canceller executes at (T, seq_a); the victim timer sits at
         # (T, seq_b > seq_a) in the same dispatch batch
-        sim = Simulator(scheduler=scheduler,
-                        idle_fast_forward=idle_fast_forward)
+        sim = ENGINES[scheduler]()
         fired = []
         h = []
         sim.schedule(5.0, lambda: h[0].cancel())
@@ -194,10 +229,8 @@ class TestSameInstantCancelRace:
         assert sim.events_executed == 1
         assert sim.stale_events_skipped == 1
 
-    def test_cancel_then_reschedule_same_instant_fires_once(
-            self, scheduler, idle_fast_forward):
-        sim = Simulator(scheduler=scheduler,
-                        idle_fast_forward=idle_fast_forward)
+    def test_cancel_then_reschedule_same_instant_fires_once(self, scheduler):
+        sim = ENGINES[scheduler]()
         fired = []
         h = []
 
@@ -211,10 +244,8 @@ class TestSameInstantCancelRace:
         assert fired == ["new"]
         assert sim.stale_events_skipped == 1
 
-    def test_stale_generation_fire_fails_loudly(
-            self, scheduler, idle_fast_forward):
-        sim = Simulator(scheduler=scheduler,
-                        idle_fast_forward=idle_fast_forward)
+    def test_stale_generation_fire_fails_loudly(self, scheduler):
+        sim = ENGINES[scheduler]()
         h = sim.call_later(1.0, lambda: None)
         stale_gen = h.gen
         h.cancel()
@@ -229,7 +260,7 @@ class TestSameInstantCancelRace:
 @pytest.mark.parametrize("scheduler", ["wheel", "heap"])
 class TestTimerCancellation:
     def test_cancelled_timer_never_fires_and_is_not_counted(self, scheduler):
-        sim = Simulator(scheduler=scheduler)
+        sim = ENGINES[scheduler]()
         fired = []
         h = sim.call_later(10.0, fired.append, "boom")
         sim.schedule(20.0, lambda: None)  # keep the queue non-empty past 10
@@ -245,7 +276,7 @@ class TestTimerCancellation:
         assert sim.stale_events_skipped == 1
 
     def test_cancel_after_fire_is_a_noop(self, scheduler):
-        sim = Simulator(scheduler=scheduler)
+        sim = ENGINES[scheduler]()
         fired = []
         h = sim.call_later(5.0, fired.append, "x")
         sim.run()
@@ -254,7 +285,7 @@ class TestTimerCancellation:
         assert not h.cancel()
 
     def test_generation_bumps_on_cancel_and_fire(self, scheduler):
-        sim = Simulator(scheduler=scheduler)
+        sim = ENGINES[scheduler]()
         h1 = sim.call_later(1.0, lambda: None)
         g0 = h1.gen
         h1.cancel()
@@ -268,7 +299,7 @@ class TestTimerCancellation:
         # A process blocks on Timeout(event, duration); the event wins the
         # race.  The loser timer must be discarded as a tombstone — it may
         # not re-resume the process, and it may not count as an event.
-        sim = Simulator(scheduler=scheduler)
+        sim = ENGINES[scheduler]()
         ev = sim.event("ack")
         outcomes = []
 
@@ -287,7 +318,7 @@ class TestTimerCancellation:
         assert sim.now == 2_005.0
 
     def test_timeout_path_still_fires_without_event(self, scheduler):
-        sim = Simulator(scheduler=scheduler)
+        sim = ENGINES[scheduler]()
         ev = sim.event("never")
         outcomes = []
 
@@ -319,7 +350,7 @@ class TestNegativeDelayClamp:
     def test_epsilon_negative_delay_clamps_to_now(self, scheduler):
         # Switch.inject's per-hop float sums can land an epsilon behind
         # sim.now; that must schedule "immediately", not raise
-        sim = Simulator(scheduler=scheduler)
+        sim = ENGINES[scheduler]()
         fired = []
         sim.schedule(-1e-10, fired.append, "ok")
         sim.run()
@@ -327,7 +358,7 @@ class TestNegativeDelayClamp:
         assert sim.now == 0.0
 
     def test_at_epsilon_in_the_past_clamps(self, scheduler):
-        sim = Simulator(scheduler=scheduler)
+        sim = ENGINES[scheduler]()
         fired = []
 
         def late():
@@ -340,7 +371,7 @@ class TestNegativeDelayClamp:
         assert sim.now == 5.0
 
     def test_real_past_scheduling_still_raises(self, scheduler):
-        sim = Simulator(scheduler=scheduler)
+        sim = ENGINES[scheduler]()
         with pytest.raises(ValueError):
             sim.schedule(-1e-6, lambda: None)
         with pytest.raises(ValueError):
@@ -355,7 +386,7 @@ class TestNegativeDelayClamp:
 def test_wheel_deadlock_detection_still_works():
     from repro.sim.primitives import WaitEvent
 
-    sim = Simulator(scheduler="wheel")
+    sim = Simulator()
 
     def blocked():
         yield WaitEvent(sim.event("forever"))
@@ -363,10 +394,3 @@ def test_wheel_deadlock_detection_still_works():
     sim.spawn(blocked(), name="blocked")
     with pytest.raises(DeadlockError):
         sim.run()
-
-
-def test_invalid_scheduler_and_window_rejected():
-    with pytest.raises(ValueError):
-        Simulator(scheduler="calendar")
-    with pytest.raises(ValueError):
-        Simulator(wheel_window_us=0.0)
